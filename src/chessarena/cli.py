@@ -411,7 +411,8 @@ def cmd_leaderboard(args) -> int:
     pool = run_dir.read_pool()
     rating_cfg = RatingConfig() if not args.all else RatingConfig(display_rd_threshold=float("inf"))
     entries = arena.compute_leaderboard(pool, rating_cfg)
-    run_dir.write_leaderboard(entries)
+    if not args.all:  # --all only prints; the run's files keep the filtered table
+        run_dir.write_leaderboard(entries)
     print(arena.render_leaderboard(entries))
     return 0
 
@@ -507,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("leaderboard", help="render the rating table of a run")
     p.add_argument("--run-dir")
-    p.add_argument("--all", action="store_true", help="include unreliable (rd > threshold) entries")
+    p.add_argument("--all", action="store_true", help="print unreliable (rd > threshold) entries too; the saved leaderboard is left as it is")
     p.set_defaults(func=cmd_leaderboard)
 
     p = sub.add_parser("engine-check", help="handshake + a shallow analysis smoke test")

@@ -2,40 +2,38 @@
 
 Generation computes checkers and absolute pins up front and emits only legal
 moves; en-passant captures, whose discovered-check geometry is awkward, are
-validated by making the move and testing the king. Raw moves are (from, to,
-promotion) int/str triples; the public API wraps them in MoveToken.
+validated by making the move and testing the king. A move is a (from, to,
+promotion) triple of square indices and an optional promotion letter. The hot
+paths (generation, perft, status checks) use plain tuples; the public API
+wraps them in MoveToken, a named tuple with the same fields, so a token
+equals and hashes like its raw triple whatever text it was parsed from.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .board import (
     BISHOP,
-    BLACK,
     CODE_TO_KIND,
     ChessError,
+    FILE_NAMES,
     KING,
     KNIGHT,
     KIND_TO_CODE,
     PAWN,
-    Piece,
     QUEEN,
+    RANK_NAMES,
     ROOK,
     SQUARE_NAMES,
-    Square,
     BoardState,
     CASTLE_WK,
     CASTLE_WQ,
     CASTLE_BK,
     CASTLE_BQ,
-    WHITE,
     _square_index,
 )
-
-UCI = "uci"
-SAN = "san"
 
 
 class MoveParseError(ChessError):
@@ -54,49 +52,27 @@ class IllegalMoveError(ChessError):
     """A well-formed move that is not legal in the position."""
 
 
-@dataclass(frozen=True, eq=False)
-class MoveToken:
-    """A move plus the surface text it was read from.
+class MoveToken(NamedTuple):
+    """A move as square indices (a1=0 .. h8=63) plus an optional promotion
+    letter ('q', 'r', 'b' or 'n')."""
 
-    Equality and hashing use only the resolved coordinates, so the same move
-    parsed from UCI and from SAN compares equal.
-    """
-
-    from_square: Square
-    to_square: Square
+    from_index: int
+    to_index: int
     promotion: str | None = None
-    surface: str = ""
-    notation: str = UCI
 
     @property
     def uci(self) -> str:
-        return self.from_square.name + self.to_square.name + (self.promotion or "")
+        return SQUARE_NAMES[self.from_index] + SQUARE_NAMES[self.to_index] + (self.promotion or "")
 
     @classmethod
     def from_uci(cls, text: str) -> "MoveToken":
         m = _UCI_RE.match(text)
         if not m:
             raise MoveParseError(f"not a UCI move: {text!r}")
-        return cls(
-            Square.from_name(m.group(1)),
-            Square.from_name(m.group(2)),
-            m.group(3) or None,
-            surface=text,
-            notation=UCI,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MoveToken):
-            return NotImplemented
-        return self.uci == other.uci
-
-    def __hash__(self) -> int:
-        return hash(self.uci)
-
-    def __repr__(self) -> str:
-        return f"MoveToken({self.uci!r})"
+        return cls(_INDEX_OF[m[1]], _INDEX_OF[m[2]], m[3])
 
 
+_INDEX_OF = {name: i for i, name in enumerate(SQUARE_NAMES)}
 _UCI_RE = re.compile(r"^([a-h][1-8])([a-h][1-8])([nbrq])?$")
 _SAN_RE = re.compile(
     r"^([NBRQK])?([a-h])?([1-8])?(x)?([a-h][1-8])(?:=?([NBRQ]))?([+#])?$"
@@ -406,20 +382,11 @@ def _raw_legal_moves(state: BoardState):
     return moves
 
 
-def _raw_uci(raw) -> str:
-    frm, to, promo = raw
-    return SQUARE_NAMES[frm] + SQUARE_NAMES[to] + (promo or "")
-
-
-def _token(raw) -> MoveToken:
-    frm, to, promo = raw
-    uci = _raw_uci(raw)
-    return MoveToken(Square.from_index(frm), Square.from_index(to), promo, surface=uci, notation=UCI)
-
-
 def legal_moves(state: BoardState) -> list:
     """All legal moves, sorted lexicographically by UCI string."""
-    return [_token(raw) for raw in sorted(_raw_legal_moves(state), key=_raw_uci)]
+    moves = [MoveToken._make(raw) for raw in _raw_legal_moves(state)]
+    moves.sort(key=lambda mv: mv.uci)
+    return moves
 
 
 def legal_moves_for_square(state: BoardState, square):
@@ -432,23 +399,22 @@ def legal_moves_for_square(state: BoardState, square):
     piece = state.piece_at(idx)
     if piece is None or piece.color != state.side_to_move:
         return piece, []
-    return piece, [mv for mv in legal_moves(state) if mv.from_square.index == idx]
+    return piece, [mv for mv in legal_moves(state) if mv.from_index == idx]
 
 
 def apply_move(state: BoardState, move: MoveToken) -> BoardState:
     """Apply a legal move; raises IllegalMoveError otherwise."""
-    frm = move.from_square.index
-    raw = (frm, move.to_square.index, move.promotion)
-    if raw not in _raw_legal_moves(state):
+    if move not in _raw_legal_moves(state):
+        frm = move.from_index
         code = state.board[frm]
         if code == 0:
-            reason = f"no piece on {move.from_square.name}"
+            reason = f"no piece on {SQUARE_NAMES[frm]}"
         elif code * state.turn < 0:
-            reason = f"piece on {move.from_square.name} belongs to the opponent"
+            reason = f"piece on {SQUARE_NAMES[frm]} belongs to the opponent"
         else:
             reason = "move is not legal in this position"
         raise IllegalMoveError(f"{move.uci}: {reason}")
-    return _raw_apply(state, *raw)
+    return _raw_apply(state, *move)
 
 
 def perft(state: BoardState, depth: int) -> int:
@@ -473,102 +439,89 @@ def parse_move(text: str, state: BoardState) -> MoveToken:
     cleaned = text.strip().strip("`'\"*.,;:!?()[]{}<>").strip()
     if not cleaned:
         raise MoveParseError("empty move text")
-    m = _UCI_RE.match(cleaned.lower())
-    if m:
-        return MoveToken(
-            Square.from_name(m.group(1)),
-            Square.from_name(m.group(2)),
-            m.group(3) or None,
-            surface=text,
-            notation=UCI,
-        )
+    lowered = cleaned.lower()
+    if _UCI_RE.match(lowered):
+        return MoveToken.from_uci(lowered)
     return _parse_san(cleaned, state, original=text)
 
 
 def _parse_san(text: str, state: BoardState, original: str = "") -> MoveToken:
-    surface = original or text
+    shown = original or text
     castle = _CASTLE_RE.match(text)
     legal = legal_moves(state)
     if castle:
         kingside = castle.group(1) in ("O-O", "0-0")
         king_from = 4 if state.turn > 0 else 60
-        king_to = king_from + 2 if kingside else king_from - 2
-        for mv in legal:
-            if mv.from_square.index == king_from and mv.to_square.index == king_to:
-                return MoveToken(mv.from_square, mv.to_square, None, surface=surface, notation=SAN)
+        castling = MoveToken(king_from, king_from + 2 if kingside else king_from - 2)
+        if castling in legal:
+            return castling
         raise UnmatchedSanError(f"castling not legal here: {text!r}")
     m = _SAN_RE.match(text)
     if not m:
-        raise MoveParseError(f"cannot interpret move text: {surface!r}")
+        raise MoveParseError(f"cannot interpret move text: {shown!r}")
     piece_letter, dis_file, dis_rank, _capture, target, promo, _suffix = m.groups()
     kind = (piece_letter or "P").lower()
-    to_idx = Square.from_name(target).index
+    to_idx = _INDEX_OF[target]
     want_promo = promo.lower() if promo else None
     matches = []
     for mv in legal:
-        frm = mv.from_square
-        if state.board[frm.index] * state.turn != KIND_TO_CODE[kind]:
+        frm = mv.from_index
+        if state.board[frm] * state.turn != KIND_TO_CODE[kind]:
             continue
-        if mv.to_square.index != to_idx:
+        if mv.to_index != to_idx:
             continue
         if mv.promotion != want_promo:
             continue
-        if kind == "k" and abs(mv.to_square.file - frm.file) == 2:
+        if kind == "k" and abs((to_idx & 7) - (frm & 7)) == 2:
             continue  # castling is only written O-O / O-O-O
-        if dis_file and frm.file != "abcdefgh".index(dis_file):
+        if dis_file and (frm & 7) != FILE_NAMES.index(dis_file):
             continue
-        if dis_rank and frm.rank != "12345678".index(dis_rank):
+        if dis_rank and (frm >> 3) != RANK_NAMES.index(dis_rank):
             continue
         matches.append(mv)
     if not matches:
-        raise UnmatchedSanError(f"no legal move matches SAN {surface!r}")
+        raise UnmatchedSanError(f"no legal move matches SAN {shown!r}")
     if len(matches) > 1:
-        raise AmbiguousSanError(f"SAN {surface!r} matches {len(matches)} moves")
-    mv = matches[0]
-    return MoveToken(mv.from_square, mv.to_square, mv.promotion, surface=surface, notation=SAN)
+        raise AmbiguousSanError(f"SAN {shown!r} matches {len(matches)} moves")
+    return matches[0]
 
 
 def move_to_san(state: BoardState, move: MoveToken) -> str:
     """Minimal unambiguous SAN for a legal move, with +/# suffix."""
-    legal = legal_moves(state)
+    legal = _raw_legal_moves(state)
     if move not in legal:
         raise IllegalMoveError(f"{move.uci}: not legal in this position")
-    frm, to = move.from_square, move.to_square
-    code = state.board[frm.index]
+    frm, to, promo = move
+    code = state.board[frm]
     kind = code * state.turn
-    is_capture = state.board[to.index] != 0 or (kind == PAWN and state.ep == to.index and frm.file != to.file)
+    from_file, to_file = frm & 7, to & 7
+    is_capture = state.board[to] != 0 or (kind == PAWN and state.ep == to and from_file != to_file)
 
-    if kind == KING and abs(to.file - frm.file) == 2:
-        core = "O-O" if to.file > frm.file else "O-O-O"
+    if kind == KING and abs(to_file - from_file) == 2:
+        core = "O-O" if to_file > from_file else "O-O-O"
     elif kind == PAWN:
         core = ""
         if is_capture:
-            core += frm.name[0] + "x"
-        core += to.name
-        if move.promotion:
-            core += "=" + move.promotion.upper()
+            core += FILE_NAMES[from_file] + "x"
+        core += SQUARE_NAMES[to]
+        if promo:
+            core += "=" + promo.upper()
     else:
         letter = CODE_TO_KIND[kind].upper()
-        rivals = [
-            mv
-            for mv in legal
-            if mv.to_square == to
-            and mv.from_square != frm
-            and state.board[mv.from_square.index] == code
-        ]
+        rivals = [f for f, t, _ in legal if t == to and f != frm and state.board[f] == code]
         dis = ""
         if rivals:
-            same_file = any(mv.from_square.file == frm.file for mv in rivals)
-            same_rank = any(mv.from_square.rank == frm.rank for mv in rivals)
+            same_file = any((f & 7) == from_file for f in rivals)
+            same_rank = any((f >> 3) == (frm >> 3) for f in rivals)
             if not same_file:
-                dis = frm.name[0]
+                dis = FILE_NAMES[from_file]
             elif not same_rank:
-                dis = frm.name[1]
+                dis = RANK_NAMES[frm >> 3]
             else:
-                dis = frm.name
-        core = letter + dis + ("x" if is_capture else "") + to.name
+                dis = SQUARE_NAMES[frm]
+        core = letter + dis + ("x" if is_capture else "") + SQUARE_NAMES[to]
 
-    after = _raw_apply(state, frm.index, to.index, move.promotion)
+    after = _raw_apply(state, frm, to, promo)
     if is_check(after):
         core += "#" if not _raw_legal_moves(after) else "+"
     return core

@@ -59,7 +59,6 @@ def _ep_capture_legal(state: BoardState) -> bool:
     if state.ep is None:
         return False
     us = state.turn
-    king = KING * us
     for frm, to, _promo in _raw_legal_moves(state):
         if to == state.ep and state.board[frm] == PAWN * us and (frm & 7) != (to & 7):
             return True

@@ -228,22 +228,25 @@ def _parse_info_line(line: str) -> dict | None:
         return None
     info = {"multipv": 1, "depth": 0}
     i = 1
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "depth":
-            info["depth"] = int(tokens[i + 1])
-            i += 2
-        elif tok == "multipv":
-            info["multipv"] = int(tokens[i + 1])
-            i += 2
-        elif tok == "score":
-            info["score"] = Score(tokens[i + 1], int(tokens[i + 2]))
-            i += 3
-        elif tok == "pv":
-            info["move"] = tokens[i + 1]
-            break
-        else:
-            i += 1
+    try:
+        while i < len(tokens):
+            tok = tokens[i]
+            if tok == "depth":
+                info["depth"] = int(tokens[i + 1])
+                i += 2
+            elif tok == "multipv":
+                info["multipv"] = int(tokens[i + 1])
+                i += 2
+            elif tok == "score":
+                info["score"] = Score(tokens[i + 1], int(tokens[i + 2]))
+                i += 3
+            elif tok == "pv":
+                info["move"] = tokens[i + 1]
+                break
+            else:
+                i += 1
+    except (ValueError, IndexError) as exc:
+        raise EngineProtocolError(f"malformed info line {line!r}: {exc}") from exc
     if "score" not in info or "move" not in info:
         return None
     return info

@@ -450,7 +450,7 @@ class HttpChatTransport:
 
     Request body: {model, messages, temperature, top_p, max_tokens}. The
     reply text is the first choice's message content; a reasoning field is
-    surfaced separately when the provider returns one.
+    reported separately when the provider returns one.
     """
 
     def __init__(self, spec: PlayerSpec, timeout: float = 120.0):

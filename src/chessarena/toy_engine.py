@@ -60,7 +60,7 @@ def score_moves(state: BoardState, depth: int) -> list:
     pov = state.turn
     scored = []
     for mv in legal_moves(state):
-        after = _raw_apply(state, mv.from_square.index, mv.to_square.index, mv.promotion)
+        after = _raw_apply(state, *mv)
         if _is_mate(after):
             scored.append((mv.uci, "mate", 1))
             continue

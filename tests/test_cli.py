@@ -171,6 +171,7 @@ def test_leaderboard_all_flag(tmp_path, capsys):
     assert main(["leaderboard", "--run-dir", str(run_dir), "--all"]) == 0
     out = capsys.readouterr().out
     assert "noisy" in out
+    assert "noisy" not in (run_dir / "leaderboard.json").read_text()
 
 
 def test_eval_basic_deterministic_items(tmp_path):

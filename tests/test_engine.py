@@ -182,7 +182,7 @@ def test_perspective_complement_after_quiet_reply(toy_handle):
 
         mv = moves[0]
         after = apply_move(board, mv)
-        replies = [m for m in legal_moves(after) if after.piece_at(m.to_square) is None]
+        replies = [m for m in legal_moves(after) if after.piece_at(m.to_index) is None]
         if not replies:
             continue
         table2 = analyze_all_moves(toy_handle, after.fen, depth=1)
@@ -315,5 +315,29 @@ def test_bestmove_none_is_engine_error(tmp_path):
     try:
         with pytest.raises(EngineError, match="no move"):
             best_move(handle, BoardState.start().fen, {"depth": 1})
+    finally:
+        handle.quit()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "info depth x score cp 10 pv e2e4",
+        "info depth 3 score cp pv e2e4",
+        "info depth 3 score mate 0 pv e2e4",
+        "info depth 3 score cp 10 pv",
+    ],
+)
+def test_malformed_info_line_is_protocol_error(tmp_path, line):
+    cmd = _script_engine(
+        tmp_path,
+        'elif t.startswith("go"):\n'
+        f'        print("{line}")\n'
+        '        print("bestmove e2e4", flush=True)',
+    )
+    handle = start_engine(cmd)
+    try:
+        with pytest.raises(EngineProtocolError, match="malformed info line"):
+            analyze_all_moves(handle, BoardState.start().fen, depth=1)
     finally:
         handle.quit()

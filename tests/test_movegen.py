@@ -43,6 +43,8 @@ PERFT_TRICKY = {
     "rnbq1k1r/pp1Pbppp/2p5/8/2B5/8/PPP1NnPP/RNBQK2R w KQ - 1 8": {1: 44, 2: 1486, 3: 62379},
 }
 
+KIWIPETE_FEN = "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1"
+
 REFERENCE_37_FEN = "rnbqkbnr/pp2pppp/3p4/8/3pP3/5N2/PPP2PPP/RNBQKB1R w KQkq - 0 4"
 REFERENCE_37_MOVES = set(
     "f3g5 f3e5 f3h4 f3d4 f3d2 f3g1 h1g1 f1a6 f1b5 f1c4 f1d3 f1e2 e1e2 e1d2 "
@@ -56,6 +58,9 @@ def test_start_has_20_moves_sorted():
     assert len(moves) == 20
     ucis = [m.uci for m in moves]
     assert ucis == sorted(ucis)
+    for fen in (BoardState.start().fen, KIWIPETE_FEN):
+        for m in legal_moves(parse_fen(fen)):
+            assert MoveToken.from_uci(m.uci) == m
 
 
 def test_reference_37_move_set_exact():
@@ -130,7 +135,7 @@ def test_promotion_to_queen():
     board = parse_fen("8/4P1k1/8/8/8/8/6K1/8 w - - 0 1")
     after = apply_move(board, MoveToken.from_uci("e7e8q"))
     assert after.piece_at("e8").symbol == "Q"
-    assert {m.uci for m in legal_moves(board) if m.from_square.name == "e7"} == {
+    assert {m.uci for m in legal_moves(board) if m.from_index == 52} == {  # from e7
         "e7e8b", "e7e8n", "e7e8q", "e7e8r",
     }
 

@@ -22,7 +22,7 @@ def test_parse_uci_basic():
     board = BoardState.start()
     mv = parse_move("g8f6", board)
     assert mv.uci == "g8f6"
-    assert mv.notation == "uci"
+    assert mv == MoveToken.from_uci("g8f6") == (62, 45, None)  # a token is its raw triple
     assert parse_move("e2e4", board).uci == "e2e4"
     assert parse_move("e7e8q", board).promotion == "q"
 
@@ -44,7 +44,14 @@ def test_parse_san_fallback():
     board = BoardState.start()
     mv = parse_move("Nf3", board)
     assert mv.uci == "g1f3"
-    assert mv.notation == "san"
+    tokens = [
+        mv,
+        parse_move("g1f3", board),
+        MoveToken.from_uci("g1f3"),
+        next(m for m in legal_moves(board) if m.uci == "g1f3"),
+    ]
+    assert all(t == mv for t in tokens)
+    assert len(set(tokens)) == 1
     assert parse_move("e4", board).uci == "e2e4"
     assert parse_move("d4", board).uci == "d2d4"
 
