@@ -29,10 +29,11 @@ from .core import (
     legal_moves,
 )
 from .core.status import DEFAULT_PLY_CAP
-from .engine import AnalysisCache, EngineError, analyze_all_moves, best_move, start_engine
+from .engine import AnalysisCache, EngineError, analyze_all_moves, best_move, start_engine, write_atomic
 from .players import (
     HttpChatTransport,
     LLM_API,
+    MAX_ATTEMPTS,
     MoveAttempt,
     OK,
     PlayerSpec,
@@ -200,9 +201,10 @@ class EnginePlayer(Player):
 
 
 class LlmPlayer(Player):
-    def __init__(self, spec: PlayerSpec, transport):
+    def __init__(self, spec: PlayerSpec, transport, max_attempts: int = MAX_ATTEMPTS):
         super().__init__(spec)
         self.transport = transport
+        self.max_attempts = max_attempts
 
     def choose(self, view: GameView) -> PlyChoice:
         if self.spec.play_mode == "blindfold":
@@ -217,9 +219,24 @@ class LlmPlayer(Player):
             json.dumps([m.as_dict() for m in messages], sort_keys=True).encode()
         ).hexdigest()
         move, attempts, _transcript = request_move(
-            self.spec, messages, view.board, self.transport
+            self.spec, messages, view.board, self.transport, max_attempts=self.max_attempts
         )
         return PlyChoice(move, tuple(attempts), prompt_digest=digest)
+
+
+def make_player(
+    spec: PlayerSpec, *, transport=None, handle=None, max_attempts: int = MAX_ATTEMPTS
+) -> Player:
+    """The runtime player for `spec`. Engine players search on `handle`; an
+    LLM player without a `transport` talks HTTP to the spec's endpoint and
+    gets `max_attempts` tries per move."""
+    if spec.kind == RANDOM:
+        return RandomPlayer(spec)
+    if spec.kind == UCI_ENGINE:
+        return EnginePlayer(spec, handle)
+    if spec.kind == LLM_API:
+        return LlmPlayer(spec, transport or HttpChatTransport(spec), max_attempts)
+    raise ValueError(f"unknown kind {spec.kind!r}")
 
 
 class PlayerRegistry:
@@ -236,17 +253,13 @@ class PlayerRegistry:
     def player(self, player_id: str) -> Player:
         if player_id not in self._players:
             spec = self.specs[player_id]
-            if spec.kind == RANDOM:
-                self._players[player_id] = RandomPlayer(spec)
-            elif spec.kind == UCI_ENGINE:
+            handle = None
+            if spec.kind == UCI_ENGINE:
                 handle = start_engine(spec.engine_command, spec.engine_options)
                 self._handles.append(handle)
-                self._players[player_id] = EnginePlayer(spec, handle)
-            elif spec.kind == LLM_API:
-                transport = self._transports.get(player_id) or HttpChatTransport(spec)
-                self._players[player_id] = LlmPlayer(spec, transport)
-            else:
-                raise ValueError(f"unknown kind {spec.kind!r}")
+            self._players[player_id] = make_player(
+                spec, transport=self._transports.get(player_id), handle=handle
+            )
         return self._players[player_id]
 
     def close(self) -> None:
@@ -392,11 +405,11 @@ class RunDir:
         return self.games / f"{game_id}.jsonl"
 
     def has_game(self, game_id: str) -> bool:
-        path = self.game_path(game_id)
-        if not path.exists():
+        try:
+            lines = self.game_path(game_id).read_text().strip().splitlines()
+            return bool(lines) and json.loads(lines[-1]).get("type") == "footer"
+        except (FileNotFoundError, ValueError):  # missing, or torn mid-row
             return False
-        lines = path.read_text().strip().splitlines()
-        return bool(lines) and json.loads(lines[-1]).get("type") == "footer"
 
     def write_game(self, record: GameRecord) -> Path:
         rows = [
@@ -435,9 +448,7 @@ class RunDir:
             }
         )
         path = self.game_path(record.game_id)
-        tmp = path.with_suffix(".jsonl.tmp")
-        tmp.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
-        tmp.replace(path)
+        write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
         return path
 
     def read_game(self, game_id: str) -> GameRecord:
@@ -478,7 +489,7 @@ class RunDir:
         return sorted(p.stem for p in self.games.glob("*.jsonl"))
 
     def write_pool(self, pool) -> None:
-        (self.root / "pool.json").write_text(pool_to_json(pool))
+        write_atomic(self.root / "pool.json", pool_to_json(pool))
 
     def read_pool(self):
         return pool_from_json((self.root / "pool.json").read_text())
@@ -493,7 +504,7 @@ class RunDir:
             path.unlink()
 
     def write_leaderboard(self, entries) -> None:
-        (self.root / "leaderboard.md").write_text(render_leaderboard(entries))
+        write_atomic(self.root / "leaderboard.md", render_leaderboard(entries))
         payload = [
             {
                 "rank": e.rank,
@@ -507,7 +518,7 @@ class RunDir:
             }
             for e in entries
         ]
-        (self.root / "leaderboard.json").write_text(json.dumps(payload, indent=2) + "\n")
+        write_atomic(self.root / "leaderboard.json", json.dumps(payload, indent=2) + "\n")
 
 
 def verify_replay(record: GameRecord) -> None:

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from . import arena, evals
-from .core import BoardState, apply_move, legal_moves
+from .core import BoardState
 from .engine import AnalysisCache, EngineError, analyze_all_moves, start_engine
-from .players import LLM_API, PlayerSpec, RANDOM, TransportError, UCI_ENGINE
+from .players import LLM_API, HttpChatTransport, PlayerSpec, RANDOM, TransportError, UCI_ENGINE
 from .rating import PoolEntry, RatingConfig, RatingState
 
 DEFAULT_RUN_DIR = "runs/run"
@@ -239,36 +239,9 @@ def _print_game_line(record, run_dir) -> None:
     )
 
 
-def _self_play_fens(n: int, seed: int) -> list:
-    """Deterministic FEN corpus from seeded random self-play."""
-    rng = random.Random(seed)
-    fens = []
-    seen = set()
-    while len(fens) < n:
-        board = BoardState.start()
-        for _ in range(rng.randrange(8, 70)):
-            moves = legal_moves(board)
-            if not moves:
-                break
-            board = apply_move(board, moves[rng.randrange(len(moves))])
-            if board.fen not in seen and len(legal_moves(board)) > 0:
-                seen.add(board.fen)
-                fens.append(board.fen)
-                if len(fens) >= n:
-                    break
-    return fens
-
-
-def _eval_resources(cfg: RunConfig, spec: PlayerSpec, seed: int):
-    transport = handle = None
-    rng = random.Random(seed)
-    if spec.kind == UCI_ENGINE:
-        handle = start_engine(spec.engine_command, spec.engine_options)
-    elif spec.kind == LLM_API:
-        from .players import HttpChatTransport
-
-        transport = HttpChatTransport(spec)
-    return transport, handle, rng
+def _eval_handle(spec: PlayerSpec):
+    """The engine an engine player searches on; None for other kinds."""
+    return start_engine(spec.engine_command, spec.engine_options) if spec.kind == UCI_ENGINE else None
 
 
 def _require_file(path, what: str) -> Path:
@@ -288,7 +261,7 @@ def cmd_eval_basic(args) -> int:
         if not fens:
             raise UserError(f"no FENs in {args.fens}")
     else:
-        fens = _self_play_fens(max(args.n, 50), args.seed)
+        fens = evals.self_play_fens(max(args.n, 50), args.seed)
     items = evals.build_basic_understanding_set(fens, args.n, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -314,7 +287,7 @@ def cmd_eval_basic(args) -> int:
     spec = cfg.spec(args.player)
     if spec.kind != LLM_API:
         raise UserError("basic understanding needs an llm_api player")
-    transport, _handle, _rng = _eval_resources(cfg, spec, args.seed)
+    transport = HttpChatTransport(spec)
     responses = []
     for item in items:
         messages = evals.build_basic_understanding_prompt(item.fen, item.square)
@@ -336,10 +309,10 @@ def cmd_eval_moves(args) -> int:
     if not items:
         raise UserError(f"no items in {args.items}")
     spec = _player_spec(cfg, args.player)
-    transport, handle, rng = _eval_resources(cfg, spec, args.seed)
+    handle = _eval_handle(spec)
     try:
         scores = evals.run_move_selection(
-            spec, items, transport=transport, handle=handle, rng=rng, workers=cfg.concurrency
+            spec, items, handle=handle, rng=random.Random(args.seed), workers=cfg.concurrency
         )
     finally:
         if handle:
@@ -363,10 +336,10 @@ def cmd_eval_puzzles(args) -> int:
     if not puzzles:
         raise UserError("no puzzles matched the filters")
     spec = _player_spec(cfg, args.player, depth=args.depth)
-    transport, handle, rng = _eval_resources(cfg, spec, args.seed)
+    handle = _eval_handle(spec)
     try:
         outcomes = evals.run_puzzles(
-            spec, puzzles, transport=transport, handle=handle, rng=rng, workers=cfg.concurrency
+            spec, puzzles, handle=handle, rng=random.Random(args.seed), workers=cfg.concurrency
         )
     finally:
         if handle:

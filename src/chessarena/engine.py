@@ -343,14 +343,23 @@ class AnalysisCache:
         return self.root / f"{digest}.json"
 
     def get(self, engine_id: str, fen: str, depth: int) -> AnalysisTable | None:
-        path = self._path(engine_id, fen, depth)
-        if not path.exists():
+        try:
+            data = json.loads(self._path(engine_id, fen, depth).read_text())
+        except (FileNotFoundError, ValueError):  # missing, or torn: a miss
             return None
-        return table_from_dict(json.loads(path.read_text()))
+        return table_from_dict(data)
 
     def put(self, engine_id: str, table: AnalysisTable) -> None:
         path = self._path(engine_id, table.fen, table.depth)
-        path.write_text(json.dumps(table_to_dict(table), indent=2, sort_keys=True))
+        write_atomic(path, json.dumps(table_to_dict(table), indent=2, sort_keys=True))
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a `.tmp` sibling, then rename it over `path`: readers
+    see the old file or the new one, never a torn one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
 
 
 def table_to_dict(table: AnalysisTable) -> dict:

@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
+from .arena import GameView, make_player
 from .core import (
     BoardState,
     ChessError,
@@ -27,24 +28,22 @@ from .core import (
     legal_moves_for_square,
     parse_fen,
 )
-from .engine import AnalysisTable, best_move, table_from_dict, table_to_dict
+from .engine import AnalysisTable, table_from_dict, table_to_dict
 from .players import (
-    BLINDFOLD,
     BLITZ,
     ChatMessage,
+    LLM_API,
     MoveAttempt,
     OK,
-    PARSING_ERROR,
     PlayerSpec,
-    RANDOM,
-    TransportError,
-    UCI_ENGINE,
-    build_blindfold_conversation,
-    build_prompt,
     extract_candidate,
     extract_move,
     random_player_move,
 )
+
+# Unused here, but the benchmark's tracer (perfbench/tracing.py) wraps these names in this module.
+from .engine import best_move  # noqa: F401
+from .players import build_blindfold_conversation, build_prompt  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -122,6 +121,26 @@ BASIC_SYSTEM_PROMPT = (
 def build_basic_understanding_prompt(fen: str, square: str) -> list:
     user = f"Current board position in FEN notation:{fen}\nPosition:{square}"
     return [ChatMessage("system", BASIC_SYSTEM_PROMPT), ChatMessage("user", user)]
+
+
+def self_play_fens(n: int, seed: int) -> list:
+    """Deterministic corpus of n distinct, non-terminal FENs from seeded
+    random self-play."""
+    rng = random.Random(seed)
+    fens = []
+    seen = set()
+    while len(fens) < n:
+        board = BoardState.start()
+        for _ in range(rng.randrange(8, 70)):
+            board = apply_move(board, random_player_move(board, rng))
+            if not legal_moves(board):
+                break
+            if board.fen not in seen:
+                seen.add(board.fen)
+                fens.append(board.fen)
+                if len(fens) >= n:
+                    break
+    return fens
 
 
 def build_basic_understanding_set(fens, n: int, seed: int) -> list:
@@ -265,30 +284,14 @@ def predict_move(
     rng: random.Random | None = None,
     template_mode: str | None = None,
 ) -> MoveAttempt:
-    """One prediction, no retries. LLM players are prompted with their mode's
-    template (or `template_mode` when the task pins one)."""
-    if spec.kind == RANDOM:
-        move = random_player_move(board, rng or random.Random())
-        return MoveAttempt(move.uci, OK, move=move)
-    if spec.kind == UCI_ENGINE:
-        move = best_move(handle, board.fen, spec.engine_limits or {"depth": 8})
-        return MoveAttempt(f"bestmove {move.uci}", OK, move=move)
-    mode = template_mode or spec.play_mode
+    """One move by the arena's player for `spec`, with a single attempt. LLM
+    players are prompted with `template_mode` when the task pins one; random
+    players draw from `rng`."""
+    spec = replace(spec, play_mode=template_mode or spec.play_mode)
+    player = make_player(spec, transport=transport, handle=handle, max_attempts=1)
     legal = legal_moves(board) if spec.provide_legal_moves else None
-    if mode == BLINDFOLD:
-        messages = build_blindfold_conversation(spec, list(history or []), legal, board.side_to_move)
-    else:
-        prompt_spec = spec if spec.play_mode == mode else _with_mode(spec, mode)
-        messages = build_prompt(prompt_spec, board, list(history or []), legal, board.side_to_move)
-    try:
-        response = transport.complete(messages)
-    except TransportError as exc:
-        return MoveAttempt("", PARSING_ERROR, error=f"transport failure: {exc}")
-    return extract_move(response.text, mode, board, reasoning=response.reasoning)
-
-
-def _with_mode(spec: PlayerSpec, mode: str) -> PlayerSpec:
-    return replace(spec, play_mode=mode)
+    view = GameView(board, tuple(history or ()), legal, board.side_to_move, rng)
+    return player.choose(view).attempts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +323,9 @@ def run_move_selection(
     are excluded from MAR (counted separately). Items for API-backed players
     can run on a worker pool; engine and random players stay sequential
     (handles serve one search at a time, and the rng stream stays ordered).
+    Random players draw from `rng`, or from `random.Random(0)` without one.
     """
+    rng = rng or random.Random(0)
 
     def ask(item):
         return predict_move(
@@ -328,7 +333,7 @@ def run_move_selection(
             handle=handle, rng=rng, template_mode=item.mode,
         )
 
-    if workers > 1 and spec.kind == "llm_api":
+    if workers > 1 and spec.kind == LLM_API:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             attempts = list(pool.map(ask, items))
     else:
@@ -488,7 +493,9 @@ def run_puzzle(
     The setup move is applied first; the player answers every second move
     with the Blitz/Standard template and a single attempt. Any deviation
     from the recorded line, even an alternate winning move, fails the puzzle.
+    Random players draw from `rng`, or from `random.Random(0)` without one.
     """
+    rng = rng or random.Random(0)
     board = parse_fen(puzzle.fen)
     board = apply_move(board, MoveToken.from_uci(puzzle.moves[0]))
     predictions = []
@@ -513,10 +520,11 @@ def run_puzzles(
     spec: PlayerSpec, puzzles, *, transport=None, handle=None, rng=None, workers: int = 1
 ) -> list:
     """Run a batch of puzzles; API-backed players may fan out over workers."""
-    if workers > 1 and spec.kind == "llm_api":
+    if workers > 1 and spec.kind == LLM_API:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_puzzle, spec, p, transport=transport) for p in puzzles]
             return [f.result() for f in futures]
+    rng = rng or random.Random(0)
     return [run_puzzle(spec, p, transport=transport, handle=handle, rng=rng) for p in puzzles]
 
 

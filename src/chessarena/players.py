@@ -17,7 +17,7 @@ import re
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .core import (
     BoardState,
@@ -482,11 +482,15 @@ class HttpChatTransport:
             raise TransportError(str(exc)) from exc
         try:
             message = payload["choices"][0]["message"]
-            text = message.get("content") or ""
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc
+        if not isinstance(message, dict):
+            raise TransportError(f"malformed completion payload: message is {type(message).__name__}")
+        text = message.get("content")
         reasoning = message.get("reasoning_content") or message.get("reasoning")
-        return ChatResponse(text=text, reasoning=reasoning, usage=payload.get("usage"))
+        if not all(value is None or isinstance(value, str) for value in (text, reasoning)):
+            raise TransportError("malformed completion payload: content and reasoning must be strings")
+        return ChatResponse(text=text or "", reasoning=reasoning, usage=payload.get("usage"))
 
 
 def request_move(
@@ -536,15 +540,7 @@ def request_move(
             attempt_index=index,
         )
         if response.usage is not None or response.reasoning is not None:
-            attempt_rec = MoveAttempt(
-                attempt_rec.raw_response,
-                attempt_rec.outcome,
-                move=attempt_rec.move,
-                attempt_index=attempt_rec.attempt_index,
-                token_usage=response.usage,
-                reasoning=response.reasoning,
-                error=attempt_rec.error,
-            )
+            attempt_rec = replace(attempt_rec, token_usage=response.usage, reasoning=response.reasoning)
         attempts.append(attempt_rec)
         if attempt_rec.outcome == OK:
             transcript.append(ChatMessage("assistant", response.text))

@@ -183,6 +183,40 @@ def test_partial_game_file_is_not_resumable(tmp_path):
     assert not run_dir.has_game("deadbeef")
 
 
+def test_torn_game_file_is_not_resumable(tmp_path):
+    run_dir = RunDir(tmp_path)
+    registry = PlayerRegistry(random_specs())
+    record = play_game(registry.player("rand-0"), registry.player("rand-1"), GameConfig(ply_cap=6),
+                       seed=2, game_id="cafe")
+    path = run_dir.write_game(record)
+    assert run_dir.has_game("cafe") and run_dir.game_ids() == ["cafe"]
+    text = path.read_text()
+    path.write_text(text[: text.rindex("{") + 12])  # cut inside the footer row
+    assert not run_dir.has_game("cafe")
+    path.write_bytes(text.encode()[:-3] + b"\xff\n")  # not even UTF-8
+    assert not run_dir.has_game("cafe")
+    run_dir.write_game(record)
+    assert run_dir.has_game("cafe")
+    assert sorted(p.name for p in run_dir.games.iterdir()) == ["cafe.jsonl"]
+
+
+def test_torn_cache_file_is_a_miss(tmp_path, toy_handle):
+    from chessarena.engine import AnalysisCache
+
+    cache = AnalysisCache(tmp_path / "cache")
+    fen = "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1"
+    table = analyze_all_moves(toy_handle, fen, 1)
+    cache.put("toy", table)
+    assert cache.get("toy", fen, 1) == table
+    (path,) = cache.root.iterdir()
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    assert cache.get("toy", fen, 1) is None
+    cache.put("toy", table)
+    assert cache.get("toy", fen, 1) == table
+    assert [p.name for p in cache.root.iterdir()] == [path.name]
+
+
 def test_verify_replay_catches_corruption():
     specs = random_specs()
     registry = PlayerRegistry(specs)

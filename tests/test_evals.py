@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,10 +23,11 @@ from chessarena.evals import (
     save_move_items,
     score_basic_understanding,
 )
+from chessarena.arena import GameConfig, GameView, LlmPlayer, RandomPlayer, make_player, play_game
 from chessarena.players import PlayerSpec
 from chessarena.core import MoveToken
 
-from conftest import PUZZLES_CSV, ScriptedTransport, playout
+from conftest import PUZZLES_CSV, ScriptedTransport, playout, playout_with_moves
 
 START = BoardState.start().fen
 
@@ -230,6 +232,68 @@ def test_move_selection_random_player_legal_and_near_zero():
     report = run_move_selection(spec, items, rng=random.Random(0))
     assert report["lr"] == 100.0
     assert abs(report["mar"]) < 12.0  # small sample; acceptance uses >= 500 items
+
+
+def test_move_selection_random_player_without_rng_is_seeded():
+    rng_tables = random.Random(6)
+    items = []
+    for s in range(20):
+        fen = playout(s, 8 + s % 20).fen
+        items.append(MoveSelectionItem(fen, (), "blitz", True, synthetic_table(fen, rng_tables)))
+    spec = PlayerSpec(id="random", kind="random")
+    first = run_move_selection(spec, items)
+    assert run_move_selection(spec, items) == first
+    # One stream per call, not one per item: the draws are those of Random(0).
+    assert first == run_move_selection(spec, items, rng=random.Random(0))
+
+
+@pytest.mark.parametrize("mode", ["blitz", "blindfold"])
+def test_move_selection_prompts_equal_arena_prompts(mode):
+    board, moves = playout_with_moves(11, 7)
+    table = synthetic_table(board.fen, random.Random(11))
+    items = [MoveSelectionItem(board.fen, tuple(m.uci for m in moves), mode, True, table)]
+    spec = PlayerSpec(id="llm", kind="llm_api", play_mode="standard", history_format="pgn")
+    reply = f"```{legal_moves(board)[0].uci}```"
+
+    in_eval = ScriptedTransport([reply])
+    assert run_move_selection(spec, items, transport=in_eval)["lr"] == 100.0
+    in_arena = ScriptedTransport([reply])
+    view = GameView(board, tuple(moves), legal_moves(board), board.side_to_move, random.Random(0))
+    LlmPlayer(replace(spec, play_mode=mode), in_arena).choose(view)
+    assert in_eval.calls == in_arena.calls
+    assert len(in_eval.calls) == 1
+
+
+class RecordingHandle:
+    """Engine handle stand-in that records the commands it is sent and
+    always answers with the same best move."""
+
+    def __init__(self, uci: str):
+        self.uci = uci
+        self.sent = []
+
+    def send(self, line: str) -> None:
+        self.sent.append(line)
+
+    def expect(self, token: str, timeout: float) -> list:
+        return [f"bestmove {self.uci}"]
+
+    def searches(self) -> list:
+        return [line for line in self.sent if line.startswith("go")]
+
+
+def test_engine_default_depth_is_the_same_in_arena_and_evals():
+    spec = PlayerSpec(id="engine", kind="uci_engine", engine_command="unused")
+    in_arena = RecordingHandle("e2e4")
+    record = play_game(
+        make_player(spec, handle=in_arena), RandomPlayer(PlayerSpec(id="random", kind="random")),
+        GameConfig(ply_cap=2), seed=0,
+    )
+    assert record.moves[0] == "e2e4"
+    in_eval = RecordingHandle("e2e4")
+    items = [MoveSelectionItem(START, (), "blitz", True, synthetic_table(START, random.Random(4)))]
+    assert run_move_selection(spec, items, handle=in_eval)["lr"] == 100.0
+    assert in_eval.searches() == in_arena.searches() == ["go depth 4"]
 
 
 def test_move_selection_prediction_matching_awr_contributes_zero():

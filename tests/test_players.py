@@ -413,6 +413,33 @@ def test_http_transport_against_local_stub(monkeypatch):
         HttpChatTransport(dead_spec, timeout=2).complete([ChatMessage("user", "u")])
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"choices": [{"message": "hi"}]},
+        {"choices": [{"message": None}]},
+        {"choices": [{"message": {"content": ["e2e4"]}}]},
+        {"choices": [{"message": {"content": "e2e4", "reasoning_content": {"steps": 3}}}]},
+        {"choices": [{"message": {"content": "e2e4", "reasoning": ["think"]}}]},
+        {"choices": []},
+        {"choices": {"0": {}}},
+        [],
+    ],
+)
+def test_http_transport_malformed_payload_is_transport_error(monkeypatch, payload):
+    import io
+    import urllib.request
+
+    from chessarena.players import HttpChatTransport, TransportError
+
+    monkeypatch.setattr(
+        urllib.request, "urlopen", lambda request, timeout: io.BytesIO(json.dumps(payload).encode())
+    )
+    spec = PlayerSpec(id="llm", kind="llm_api", endpoint="http://127.0.0.1:9/v1/chat/completions")
+    with pytest.raises(TransportError, match="malformed completion payload"):
+        HttpChatTransport(spec).complete([ChatMessage("user", "u")])
+
+
 def test_http_transport_requires_endpoint():
     from chessarena.players import HttpChatTransport
 
