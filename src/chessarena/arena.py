@@ -183,7 +183,7 @@ class Player:
 
 class RandomPlayer(Player):
     def choose(self, view: GameView) -> PlyChoice:
-        move = random_player_move(view.board, view.rng)
+        move = random_player_move(view.board, view.rng, view.legal)
         attempt = MoveAttempt(move.uci, OK, move=move)
         return PlyChoice(move, (attempt,))
 
@@ -303,12 +303,15 @@ def play_game(
     aborted = False
     error = None
 
-    status = game_status(board, history, cfg.ply_cap)
+    # One legal-move list per position, shared by the view, the move check,
+    # the repetition key and the status check.
+    legal = legal_moves(board)
+    status = game_status(board, history, cfg.ply_cap, legal=legal)
     while status is None:
         mover = white if board.turn > 0 else black
         color = WHITE if board.turn > 0 else BLACK
-        legal = legal_moves(board) if mover.spec.provide_legal_moves else None
-        view = GameView(board, tuple(moves_played), legal, color, rng)
+        shown = legal if mover.spec.provide_legal_moves else None
+        view = GameView(board, tuple(moves_played), shown, color, rng)
         try:
             choice = mover.choose(view)
         except (EngineError, TransportError) as exc:
@@ -329,10 +332,11 @@ def play_game(
             winner = BLACK if color == WHITE else WHITE
             termination = Termination(FORFEIT, winner)
             break
-        board = apply_move(board, choice.move)
+        board = apply_move(board, choice.move, legal)
         moves_played.append(choice.move)
-        history = history.push(board)
-        status = game_status(board, history, cfg.ply_cap)
+        legal = legal_moves(board)
+        history = history.push(board, legal)
+        status = game_status(board, history, cfg.ply_cap, legal=legal)
     if termination is None and not aborted:
         termination = status
     return GameRecord(

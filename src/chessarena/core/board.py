@@ -258,28 +258,21 @@ def _validate(state: BoardState) -> None:
             raise FenError("en-passant square must be on rank 3 with black to move")
 
 
+# FEN letter of each piece code; an empty square is "1" until runs collapse.
+_FEN_SYMBOL = {code: Piece.from_code(code).symbol if code else "1" for code in range(-KING, KING + 1)}
+_EMPTY_RUNS = tuple(("1" * n, str(n)) for n in range(8, 1, -1))  # longest first
+
+
 def serialize_fen(state: BoardState) -> str:
     """Serialize to canonical FEN; inverse of parse_fen on canonical input."""
-    rows = []
-    for rank in range(7, -1, -1):
-        row = ""
-        empty = 0
-        for file in range(8):
-            code = state.board[rank * 8 + file]
-            if code == 0:
-                empty += 1
-            else:
-                if empty:
-                    row += str(empty)
-                    empty = 0
-                row += Piece.from_code(code).symbol
-        if empty:
-            row += str(empty)
-        rows.append(row)
+    squares = "".join(map(_FEN_SYMBOL.__getitem__, state.board))  # a1 .. h8
+    placement = "/".join(squares[start : start + 8] for start in range(56, -1, -8))
+    for run, digit in _EMPTY_RUNS:  # "/" keeps runs within a rank
+        placement = placement.replace(run, digit)
     ep = "-" if state.ep is None else SQUARE_NAMES[state.ep]
     return " ".join(
         [
-            "/".join(rows),
+            placement,
             state.side_to_move,
             state.castling_rights,
             ep,

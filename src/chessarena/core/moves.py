@@ -402,9 +402,13 @@ def legal_moves_for_square(state: BoardState, square):
     return piece, [mv for mv in legal_moves(state) if mv.from_index == idx]
 
 
-def apply_move(state: BoardState, move: MoveToken) -> BoardState:
-    """Apply a legal move; raises IllegalMoveError otherwise."""
-    if move not in _raw_legal_moves(state):
+def apply_move(state: BoardState, move: MoveToken, legal=None) -> BoardState:
+    """Apply a legal move; raises IllegalMoveError otherwise.
+
+    `legal`, when given, must be `legal_moves(state)` (or the raw triples) of
+    this same state; it saves generating the moves again.
+    """
+    if move not in (_raw_legal_moves(state) if legal is None else legal):
         frm = move.from_index
         code = state.board[frm]
         if code == 0:

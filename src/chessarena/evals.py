@@ -36,6 +36,7 @@ from .players import (
     MoveAttempt,
     OK,
     PlayerSpec,
+    UCI_ENGINE,
     extract_candidate,
     extract_move,
     random_player_move,
@@ -286,10 +287,11 @@ def predict_move(
 ) -> MoveAttempt:
     """One move by the arena's player for `spec`, with a single attempt. LLM
     players are prompted with `template_mode` when the task pins one; random
-    players draw from `rng`."""
+    players draw from `rng`. Engine players never read the legal list, so
+    none is built for them."""
     spec = replace(spec, play_mode=template_mode or spec.play_mode)
     player = make_player(spec, transport=transport, handle=handle, max_attempts=1)
-    legal = legal_moves(board) if spec.provide_legal_moves else None
+    legal = legal_moves(board) if spec.provide_legal_moves and spec.kind != UCI_ENGINE else None
     view = GameView(board, tuple(history or ()), legal, board.side_to_move, rng)
     return player.choose(view).attempts[0]
 

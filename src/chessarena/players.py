@@ -15,8 +15,6 @@ import os
 import random
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field as dc_field, replace
 
 from .core import (
@@ -472,13 +470,15 @@ class HttpChatTransport:
         key_env = spec.key_env
         if key_env and os.environ.get(key_env):
             headers["Authorization"] = f"Bearer {os.environ[key_env]}"
+        import urllib.request  # on first use: the HTTP stack is costly to import
+
         request = urllib.request.Request(
             spec.endpoint, data=json.dumps(body).encode(), headers=headers, method="POST"
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 payload = json.loads(resp.read().decode())
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:  # URLError is an OSError
             raise TransportError(str(exc)) from exc
         try:
             message = payload["choices"][0]["message"]
@@ -552,9 +552,12 @@ def request_move(
     return None, attempts, transcript
 
 
-def random_player_move(board: BoardState, rng: random.Random) -> MoveToken:
-    """Uniform draw over the (lexicographically ordered) legal moves."""
-    moves = legal_moves(board)
+def random_player_move(board: BoardState, rng: random.Random, legal=None) -> MoveToken:
+    """Uniform draw over the (lexicographically ordered) legal moves.
+
+    `legal`, when given, must be `legal_moves(board)` of this same board.
+    """
+    moves = legal_moves(board) if legal is None else legal
     if not moves:
         raise ValueError("no legal moves to draw from")
     return moves[rng.randrange(len(moves))]

@@ -44,11 +44,9 @@ def _has_mate_in_one(state: BoardState) -> bool:
     return False
 
 
-def _forces_mate_in_two(state: BoardState, after_key: BoardState) -> bool:
-    """True if every reply to the key move allows mate on the next move."""
-    replies = _raw_legal_moves(after_key)
-    if not replies:
-        return False  # stalemate or already mate; callers handle mate-in-1
+def _forces_mate_in_two(after_key: BoardState, replies) -> bool:
+    """True if every reply to the key move allows mate on the next move.
+    `replies` are the (non-empty) legal moves of `after_key`."""
     for raw in replies:
         if not _has_mate_in_one(_raw_apply(after_key, *raw)):
             return False
@@ -61,13 +59,11 @@ def score_moves(state: BoardState, depth: int) -> list:
     scored = []
     for mv in legal_moves(state):
         after = _raw_apply(state, *mv)
-        if _is_mate(after):
-            scored.append((mv.uci, "mate", 1))
+        replies = _raw_legal_moves(after)
+        if not replies:  # mate, or stalemate
+            scored.append((mv.uci, "mate", 1) if is_check(after) else (mv.uci, "cp", 0))
             continue
-        if not _raw_legal_moves(after):  # stalemate
-            scored.append((mv.uci, "cp", 0))
-            continue
-        if depth >= MATE_SCAN_MIN_DEPTH and is_check(after) and _forces_mate_in_two(state, after):
+        if depth >= MATE_SCAN_MIN_DEPTH and is_check(after) and _forces_mate_in_two(after, replies):
             scored.append((mv.uci, "mate", 2))
             continue
         scored.append((mv.uci, "cp", material_balance(after, pov)))

@@ -296,6 +296,27 @@ def test_engine_default_depth_is_the_same_in_arena_and_evals():
     assert in_eval.searches() == in_arena.searches() == ["go depth 4"]
 
 
+def test_predict_move_builds_the_legal_list_only_for_players_that_read_it(monkeypatch):
+    import chessarena.evals as evals
+
+    calls = []
+
+    def counting_legal_moves(board):
+        calls.append(board)
+        return legal_moves(board)
+
+    monkeypatch.setattr(evals, "legal_moves", counting_legal_moves)
+    board = BoardState.start()
+    engine = PlayerSpec(id="engine", kind="uci_engine", engine_command="unused")
+    attempt = evals.predict_move(engine, board, (), handle=RecordingHandle("e2e4"))
+    assert attempt.move == MoveToken.from_uci("e2e4")
+    assert len(calls) == 0
+    random_spec = PlayerSpec(id="random", kind="random")
+    attempt = evals.predict_move(random_spec, board, (), rng=random.Random(0))
+    assert attempt.move in legal_moves(board)
+    assert len(calls) == 1
+
+
 def test_move_selection_prediction_matching_awr_contributes_zero():
     moves = legal_moves(BoardState.start())
     q = 0.5

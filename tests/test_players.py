@@ -440,6 +440,24 @@ def test_http_transport_malformed_payload_is_transport_error(monkeypatch, payloa
         HttpChatTransport(spec).complete([ChatMessage("user", "u")])
 
 
+def test_cli_import_leaves_the_http_stack_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import chessarena.cli, sys; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_http_transport_requires_endpoint():
     from chessarena.players import HttpChatTransport
 

@@ -1,10 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chessarena.core import (
     BoardState,
     CHECKMATE,
     FIVEFOLD_REPETITION,
     INSUFFICIENT_MATERIAL,
+    IllegalMoveError,
     MOVE_LIMIT,
     MoveToken,
     PositionHistory,
@@ -13,8 +17,14 @@ from chessarena.core import (
     Termination,
     apply_move,
     game_status,
+    legal_moves,
     parse_fen,
+    repetition_key,
 )
+from chessarena.toy_engine import score_moves
+
+from conftest import playout
+from oracle_chess import o_apply_uci, o_in_check, o_legal_moves, o_parse
 
 
 def fresh_history(board):
@@ -138,3 +148,83 @@ def test_termination_invariants():
     with pytest.raises(ValueError):
         Termination("sudden_death")
     assert Termination("forfeit", "w").score_for_white == 1.0
+
+
+# ---------------------------------------------------------------------------
+# A legal-move list passed in must change nothing: differential checks over
+# positions from seeded random play, against the kernel and the oracle.
+
+
+def positions_with_history(seed: int, plies: int):
+    """Every position of a seeded random playout, with its history."""
+    rng = random.Random(seed)
+    board = BoardState.start()
+    history = PositionHistory.start(board)
+    out = [(board, history)]
+    for _ in range(plies):
+        moves = legal_moves(board)
+        if not moves:
+            break
+        board = apply_move(board, moves[rng.randrange(len(moves))])
+        history = history.push(board)
+        out.append((board, history))
+    return out
+
+
+def oracle_has_ep_capture(board) -> bool:
+    pos = o_parse(board.fen)
+    if pos["ep"] is None:
+        return False
+    ep = "abcdefgh"[pos["ep"][0]] + str(pos["ep"][1])
+    return any(
+        uci[2:4] == ep and uci[0] != uci[2] and pos["pieces"][("abcdefgh".index(uci[0]), int(uci[1]))].lower() == "p"
+        for uci in o_legal_moves(pos)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), plies=st.integers(0, 120))
+def test_shared_legal_list_changes_nothing(seed, plies):
+    for board, history in positions_with_history(seed, plies):
+        legal = legal_moves(board)
+        assert game_status(board, history, 80, legal=legal) == game_status(board, history, 80)
+        key = repetition_key(board, legal)
+        assert key == repetition_key(board)
+        assert (key[3] is not None) == oracle_has_ep_capture(board)
+        for move in legal:
+            assert apply_move(board, move, legal) == apply_move(board, move)
+        own = [sq for sq, code in enumerate(board.board) if code * board.turn > 0]
+        illegal = next(
+            MoveToken(frm, to) for frm in own for to in range(64) if to != frm and (frm, to, None) not in legal
+        )
+        with pytest.raises(IllegalMoveError):
+            apply_move(board, illegal, legal)
+
+
+def check_score_moves_against_oracle(board) -> None:
+    pos = o_parse(board.fen)
+    scored = score_moves(board, 2)
+    assert sorted(uci for uci, _kind, _value in scored) == o_legal_moves(pos)
+    for uci, kind, value in scored:
+        after = o_apply_uci(pos, uci)
+        if not o_legal_moves(after):
+            assert (kind, value) == (("mate", 1) if o_in_check(after) else ("cp", 0))
+        else:
+            assert (kind, value) != ("mate", 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), plies=st.integers(0, 120))
+def test_toy_engine_mate_and_stalemate_match_oracle(seed, plies):
+    check_score_moves_against_oracle(playout(seed, plies))
+
+
+@pytest.mark.parametrize(
+    "fen",
+    [
+        "6k1/5ppp/8/8/8/8/8/R5K1 w - - 0 1",  # back-rank mate in one
+        "7k/8/5K2/8/8/8/8/6Q1 w - - 0 1",  # Qg7 mates, Qg6 stalemates
+    ],
+)
+def test_toy_engine_mate_and_stalemate_fixed_positions(fen):
+    check_score_moves_against_oracle(parse_fen(fen))
