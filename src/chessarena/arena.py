@@ -27,10 +27,12 @@ from .core import (
     apply_move,
     game_status,
     legal_moves,
+    move_to_san,
 )
 from .core.status import DEFAULT_PLY_CAP
 from .engine import AnalysisCache, EngineError, analyze_all_moves, best_move, start_engine, write_atomic
 from .players import (
+    HISTORY_PGN,
     HttpChatTransport,
     LLM_API,
     MAX_ATTEMPTS,
@@ -67,13 +69,19 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class GameView:
-    """What a player sees when asked to move."""
+    """What a player sees when asked to move.
+
+    `legal`, when set, is `legal_moves(board)`; a model player shows it in
+    the prompt only when its spec provides legal moves. `sans`, when set, is
+    the SAN of every move in `moves_played`.
+    """
 
     board: BoardState
     moves_played: tuple
     legal: list | None
     color: str
     rng: random.Random
+    sans: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -207,19 +215,21 @@ class LlmPlayer(Player):
         self.max_attempts = max_attempts
 
     def choose(self, view: GameView) -> PlyChoice:
+        shown = view.legal if self.spec.provide_legal_moves else None
         if self.spec.play_mode == "blindfold":
             messages = build_blindfold_conversation(
-                self.spec, view.moves_played, view.legal, view.color
+                self.spec, view.moves_played, shown, view.color
             )
         else:
             messages = build_prompt(
-                self.spec, view.board, view.moves_played, view.legal, view.color
+                self.spec, view.board, view.moves_played, shown, view.color, view.sans
             )
         digest = hashlib.sha256(
             json.dumps([m.as_dict() for m in messages], sort_keys=True).encode()
         ).hexdigest()
         move, attempts, _transcript = request_move(
-            self.spec, messages, view.board, self.transport, max_attempts=self.max_attempts
+            self.spec, messages, view.board, self.transport, max_attempts=self.max_attempts,
+            legal=view.legal,
         )
         return PlyChoice(move, tuple(attempts), prompt_digest=digest)
 
@@ -297,6 +307,8 @@ def play_game(
     board = BoardState.start()
     history = PositionHistory.start(board)
     moves_played: list = []
+    # SAN of each move played, kept only when a player's prompt shows PGN.
+    sans = [] if HISTORY_PGN in (white.spec.history_format, black.spec.history_format) else None
     plies: list = []
     started = time.time()
     termination: Termination | None = None
@@ -304,14 +316,15 @@ def play_game(
     error = None
 
     # One legal-move list per position, shared by the view, the move check,
-    # the repetition key and the status check.
+    # the SAN, the repetition key and the status check.
     legal = legal_moves(board)
     status = game_status(board, history, cfg.ply_cap, legal=legal)
     while status is None:
         mover = white if board.turn > 0 else black
         color = WHITE if board.turn > 0 else BLACK
-        shown = legal if mover.spec.provide_legal_moves else None
-        view = GameView(board, tuple(moves_played), shown, color, rng)
+        view = GameView(
+            board, tuple(moves_played), legal, color, rng, None if sans is None else tuple(sans)
+        )
         try:
             choice = mover.choose(view)
         except (EngineError, TransportError) as exc:
@@ -332,7 +345,10 @@ def play_game(
             winner = BLACK if color == WHITE else WHITE
             termination = Termination(FORFEIT, winner)
             break
-        board = apply_move(board, choice.move, legal)
+        after = apply_move(board, choice.move, legal)
+        if sans is not None:
+            sans.append(move_to_san(board, choice.move, legal))
+        board = after
         moves_played.append(choice.move)
         legal = legal_moves(board)
         history = history.push(board, legal)

@@ -490,9 +490,14 @@ def _parse_san(text: str, state: BoardState, original: str = "") -> MoveToken:
     return matches[0]
 
 
-def move_to_san(state: BoardState, move: MoveToken) -> str:
-    """Minimal unambiguous SAN for a legal move, with +/# suffix."""
-    legal = _raw_legal_moves(state)
+def move_to_san(state: BoardState, move: MoveToken, legal=None) -> str:
+    """Minimal unambiguous SAN for a legal move, with +/# suffix.
+
+    `legal`, when given, must be `legal_moves(state)` (or the raw triples) of
+    this same state; it saves generating the moves again.
+    """
+    if legal is None:
+        legal = _raw_legal_moves(state)
     if move not in legal:
         raise IllegalMoveError(f"{move.uci}: not legal in this position")
     frm, to, promo = move

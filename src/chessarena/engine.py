@@ -14,6 +14,7 @@ import queue
 import shlex
 import subprocess
 import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .core import MoveToken, legal_moves, parse_fen
 
 DEFAULT_HANDSHAKE_TIMEOUT = 10.0
 DEFAULT_SEARCH_TIMEOUT = 600.0
+STDERR_TAIL_LINES = 20
 
 # Win-rate mapping constants: logistic in centipawns, compressed mate scores.
 MATE_EPSILON = 0.001
@@ -112,7 +114,8 @@ def top_moves_of(evals) -> frozenset:
 
 
 class EngineHandle:
-    """A running UCI engine process with a background line reader."""
+    """A running UCI engine process with background readers: one queues its
+    output lines, one keeps the last lines of its stderr for error messages."""
 
     def __init__(self, proc: subprocess.Popen, command: str):
         self._proc = proc
@@ -121,6 +124,9 @@ class EngineHandle:
         self._dead = False
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
+        self._stderr_tail: deque = deque(maxlen=STDERR_TAIL_LINES)
+        self._stderr_reader = threading.Thread(target=self._drain_stderr, daemon=True)
+        self._stderr_reader.start()
         self.name = ""
         self.options: dict = {}
 
@@ -129,26 +135,42 @@ class EngineHandle:
             self._lines.put(line.rstrip("\n"))
         self._lines.put(None)  # EOF sentinel
 
+    def _drain_stderr(self):
+        for line in self._proc.stderr:
+            self._stderr_tail.append(line.rstrip("\n"))
+
+    def _failure(self, message: str) -> EngineError:
+        """An EngineError for a process that is gone or going, with the last
+        lines it wrote to stderr."""
+        self._stderr_reader.join(timeout=1.0)  # the pipe ends when the process does
+        if self._stderr_tail:
+            message += "; stderr: " + " | ".join(self._stderr_tail)
+        return EngineError(message)
+
     def send(self, line: str) -> None:
         if self._dead or self._proc.poll() is not None:
-            raise EngineError("engine process is gone")
+            raise self._failure("engine process is gone")
         try:
             self._proc.stdin.write(line + "\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             self._dead = True
-            raise EngineError(f"engine pipe broken: {exc}") from exc
+            raise self._failure(f"engine pipe broken: {exc}") from exc
 
     def read_line(self, timeout: float) -> str:
+        """The next output line. A timeout kills the process: its late output
+        must not answer a later search."""
         try:
             line = self._lines.get(timeout=timeout)
         except queue.Empty:
-            raise EngineError(f"engine silent for {timeout}s") from None
+            self._dead = True
+            self._proc.kill()
+            raise self._failure(f"engine silent for {timeout}s") from None
         if line is None:
             # Keep the sentinel around: every later read must fail too.
             self._dead = True
             self._lines.put(None)
-            raise EngineError("engine closed its output")
+            raise self._failure("engine closed its output")
         return line
 
     def expect(self, token: str, timeout: float) -> list:
@@ -179,9 +201,14 @@ class EngineHandle:
                 self._proc.wait(timeout=5)
         except (EngineError, subprocess.TimeoutExpired):
             self._proc.kill()
+            self._proc.wait()
         finally:
-            if self._proc.stdin:
-                self._proc.stdin.close()
+            self._proc.stdin.close()
+            # A pipe is closed once its reader has seen the end of it.
+            for reader, pipe in ((self._reader, self._proc.stdout), (self._stderr_reader, self._proc.stderr)):
+                reader.join(timeout=1.0)
+                if not reader.is_alive():
+                    pipe.close()
 
     def __enter__(self):
         return self
@@ -202,21 +229,26 @@ def start_engine(
             argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,  # drained into the handle's stderr tail
             text=True,
+            errors="replace",  # stray bytes must not stop the readers
             bufsize=1,
         )
     except OSError as exc:
         raise EngineError(f"cannot start engine {argv[0]!r}: {exc}") from exc
     handle = EngineHandle(proc, command if isinstance(command, str) else " ".join(argv))
-    handle.send("uci")
-    for line in handle.expect("uciok", handshake_timeout):
-        if line.startswith("id name "):
-            handle.name = line[len("id name ") :].strip()
-    for name, value in (options or {}).items():
-        handle.set_option(name, value)
-    handle.sync(handshake_timeout)
-    handle.new_game()
+    try:
+        handle.send("uci")
+        for line in handle.expect("uciok", handshake_timeout):
+            if line.startswith("id name "):
+                handle.name = line[len("id name ") :].strip()
+        for name, value in (options or {}).items():
+            handle.set_option(name, value)
+        handle.sync(handshake_timeout)
+        handle.new_game()
+    except EngineError:
+        handle.quit()
+        raise
     return handle
 
 

@@ -30,8 +30,10 @@ from .core import (
 )
 from .engine import AnalysisTable, table_from_dict, table_to_dict
 from .players import (
+    BLINDFOLD,
     BLITZ,
     ChatMessage,
+    HISTORY_PGN,
     LLM_API,
     MoveAttempt,
     OK,
@@ -40,6 +42,7 @@ from .players import (
     extract_candidate,
     extract_move,
     random_player_move,
+    san_history,
 )
 
 # Unused here, but the benchmark's tracer (perfbench/tracing.py) wraps these names in this module.
@@ -288,11 +291,15 @@ def predict_move(
     """One move by the arena's player for `spec`, with a single attempt. LLM
     players are prompted with `template_mode` when the task pins one; random
     players draw from `rng`. Engine players never read the legal list, so
-    none is built for them."""
+    none is built for them; the SAN history is built once, only for a PGN
+    prompt."""
     spec = replace(spec, play_mode=template_mode or spec.play_mode)
     player = make_player(spec, transport=transport, handle=handle, max_attempts=1)
-    legal = legal_moves(board) if spec.provide_legal_moves and spec.kind != UCI_ENGINE else None
-    view = GameView(board, tuple(history or ()), legal, board.side_to_move, rng)
+    history = tuple(history or ())
+    legal = None if spec.kind == UCI_ENGINE else legal_moves(board)
+    pgn = spec.kind == LLM_API and spec.play_mode != BLINDFOLD and spec.history_format == HISTORY_PGN
+    sans = tuple(san_history(history)) if pgn else None
+    view = GameView(board, history, legal, board.side_to_move, rng, sans)
     return player.choose(view).attempts[0]
 
 

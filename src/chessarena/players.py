@@ -188,26 +188,41 @@ def fenced(text: str) -> str:
     return f"```\n{text}\n```"
 
 
-def render_history(moves, fmt: str, window: int) -> str | None:
+def san_history(moves) -> list:
+    """SAN of every move of a game played from the initial position.
+
+    Replays the game once; each position's legal moves are generated once and
+    shared by the SAN rendering and the move check.
+    """
+    board = BoardState.start()
+    sans = []
+    for mv in moves:
+        if not isinstance(mv, MoveToken):
+            mv = parse_move(str(mv), board)
+        legal = legal_moves(board)
+        sans.append(move_to_san(board, mv, legal))
+        board = apply_move(board, mv, legal)
+    return sans
+
+
+def render_history(moves, fmt: str, window: int, sans=None) -> str | None:
     """Render the most recent `window` plies, or None when there is nothing.
 
-    PGN rendering replays the whole game from the initial position, so it
-    requires the full move list of a game that started there.
+    PGN rendering numbers the moves from the initial position and reads
+    `sans`, the SAN of every move in `moves` (`san_history(moves)` when not
+    given).
     """
     if fmt == HISTORY_NONE or not moves:
         return None
-    ucis = [mv.uci if isinstance(mv, MoveToken) else str(mv) for mv in moves]
     if fmt == HISTORY_UCI:
-        recent = ucis[-window:]
+        recent = [mv.uci if isinstance(mv, MoveToken) else str(mv) for mv in moves[-window:]]
         return "Move history in UCI notation: " + " ".join(recent) + "."
     if fmt != HISTORY_PGN:
         raise ValueError(f"unknown history format {fmt!r}")
-    board = BoardState.start()
-    sans = []
-    for uci in ucis:
-        mv = parse_move(uci, board)
-        sans.append(move_to_san(board, mv))
-        board = apply_move(board, mv)
+    if sans is None:
+        sans = san_history(moves)
+    elif len(sans) != len(moves):
+        raise ValueError(f"{len(sans)} SAN moves given for {len(moves)} plies")
     start = len(sans) - min(window, len(sans))
     parts = []
     for idx in range(start, len(sans)):
@@ -226,12 +241,13 @@ def _legal_line(legal) -> str:
     return "Legal moves in UCI notation: " + " ".join(ucis) + "."
 
 
-def build_prompt(spec: PlayerSpec, board: BoardState, history, legal, color: str) -> list:
+def build_prompt(spec: PlayerSpec, board: BoardState, history, legal, color: str, sans=None) -> list:
     """Single-turn prompt for bullet/blitz/standard play.
 
     `legal` must be provided exactly when spec.provide_legal_moves is set;
     `history` is the full game move list, rendered per the player's
-    history format and window.
+    history format and window. `sans`, when given, is the SAN of every move
+    in `history`, so PGN history needs no replay.
     """
     if spec.play_mode == BLINDFOLD:
         raise ValueError("blindfold prompts are conversations; use build_blindfold_conversation")
@@ -242,7 +258,7 @@ def build_prompt(spec: PlayerSpec, board: BoardState, history, legal, color: str
     lines = [f"The current FEN: {board.fen}"]
     if legal is not None:
         lines.append(_legal_line(legal))
-    rendered = render_history(history or [], spec.history_format, spec.history_window)
+    rendered = render_history(history or [], spec.history_format, spec.history_window, sans)
     if rendered:
         lines.append(rendered)
     lines.append("What is the best move?")
@@ -376,12 +392,19 @@ def _strip_bullet_scaffolding(raw: str) -> str:
 
 
 def extract_move(
-    raw: str, mode: str, board: BoardState, *, reasoning: str | None = None, attempt_index: int = 1
+    raw: str,
+    mode: str,
+    board: BoardState,
+    *,
+    reasoning: str | None = None,
+    attempt_index: int = 1,
+    legal=None,
 ) -> MoveAttempt:
     """Classify a raw response into exactly one attempt outcome.
 
     Never raises: unparseable text, well-formed-but-illegal moves and bullet
-    thinking violations are all encoded outcomes.
+    thinking violations are all encoded outcomes. `legal`, when given, must
+    be `legal_moves(board)` of this same board.
     """
     if mode == BULLET:
         if reasoning and reasoning.strip():
@@ -404,7 +427,7 @@ def extract_move(
         return MoveAttempt(raw, ILLEGAL_MOVE, attempt_index=attempt_index, error=str(exc))
     except MoveParseError as exc:
         return MoveAttempt(raw, PARSING_ERROR, attempt_index=attempt_index, error=str(exc))
-    if move not in legal_moves(board):
+    if move not in (legal_moves(board) if legal is None else legal):
         return MoveAttempt(raw, ILLEGAL_MOVE, attempt_index=attempt_index,
                            error=f"{move.uci} is not legal here")
     return MoveAttempt(raw, OK, move=move, attempt_index=attempt_index)
@@ -502,13 +525,15 @@ def request_move(
     max_attempts: int = MAX_ATTEMPTS,
     backoff: float = 1.0,
     sleep=time.sleep,
+    legal=None,
 ) -> tuple[MoveToken | None, list, list]:
     """Run the retry protocol for an LLM player.
 
     Returns (move or None on forfeit, attempts, final transcript). Each
     failed attempt appends the raw reply and a corrective user message; a
     transport error is retried once automatically, then scored as a failed
-    attempt.
+    attempt. `legal`, when given, must be `legal_moves(board)`; every
+    attempt is checked against it.
     """
     transcript = list(messages)
     attempts = []
@@ -538,6 +563,7 @@ def request_move(
             board,
             reasoning=response.reasoning,
             attempt_index=index,
+            legal=legal,
         )
         if response.usage is not None or response.reasoning is not None:
             attempt_rec = replace(attempt_rec, token_usage=response.usage, reasoning=response.reasoning)

@@ -341,3 +341,39 @@ def test_malformed_info_line_is_protocol_error(tmp_path, line):
             analyze_all_moves(handle, BoardState.start().fen, depth=1)
     finally:
         handle.quit()
+
+
+def test_timed_out_engine_is_killed_not_reused(tmp_path):
+    cmd = _script_engine(
+        tmp_path,
+        'elif t.startswith("go"):\n'
+        '        __import__("time").sleep(1.0)\n'
+        '        print("bestmove e2e4", flush=True)',
+    )
+    handle = start_engine(cmd)
+    try:
+        with pytest.raises(EngineError, match="silent"):
+            best_move(handle, BoardState.start().fen, {"depth": 1}, timeout=0.2)
+        # A live process would answer this search with the first one's late bestmove.
+        with pytest.raises(EngineError, match="engine process is gone"):
+            best_move(handle, BoardState.start().fen, {"depth": 1}, timeout=5.0)
+    finally:
+        handle.quit()
+
+
+def test_engine_error_carries_the_stderr_tail(tmp_path):
+    path = tmp_path / "crash.py"
+    path.write_text(
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "for i in range(30):\n"
+        "    sys.stderr.write(f'line {i:02d}\\n')\n"
+        "sys.stderr.write('fatal: cannot open weights file nn.bin\\n')\n"
+        "sys.exit(3)\n"
+    )
+    with pytest.raises(EngineError, match="closed its output") as info:
+        start_engine([sys.executable, str(path)])
+    message = str(info.value)
+    assert "fatal: cannot open weights file nn.bin" in message
+    assert "line 29" in message and "line 11" in message
+    assert "line 10" not in message  # only the last 20 lines are kept
