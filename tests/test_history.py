@@ -110,7 +110,7 @@ def test_pgn_prompts_from_the_game_equal_prompts_rebuilt_from_the_moves():
 
 
 @pytest.mark.parametrize("history_format", ["pgn", "uci_list"])
-def test_game_makes_at_most_one_san_per_ply_and_builders_replay_nothing(monkeypatch, history_format):
+def test_game_makes_at_most_one_san_per_ply_and_prompts_replay_nothing(monkeypatch, history_format):
     counts = Counter()
 
     def count(module, name):
@@ -135,7 +135,7 @@ def test_game_makes_at_most_one_san_per_ply_and_builders_replay_nothing(monkeypa
         assert 0 < counts["move_to_san"] <= len(record.plies)
     else:
         assert counts["move_to_san"] == 0
-    # No replay inside the builders, and extraction checks the game's own list.
+    # No replay while prompts are built, and extraction checks the game's own list.
     assert counts["apply_move"] == counts["legal_moves"] == 0
     assert counts["parse_move"] == 30  # one per model reply
 
