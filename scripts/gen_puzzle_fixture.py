@@ -20,6 +20,7 @@ from pathlib import Path
 from chessarena.core import BoardState, is_check, serialize_fen
 from chessarena.core.moves import _attacked, _raw_apply, _raw_legal_moves
 from chessarena.core.board import KING
+from chessarena.toy_engine import _is_mate
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "puzzles_small.csv"
 
@@ -36,10 +37,6 @@ def _uci(raw):
     frm, to, promo = raw
     names = [f + r for r in "12345678" for f in "abcdefgh"]
     return names[frm] + names[to] + (promo or "")
-
-
-def _is_mate(state):
-    return not _raw_legal_moves(state) and is_check(state)
 
 
 def _mate_in_one_moves(state):

@@ -203,7 +203,7 @@ class EnginePlayer(Player):
 
     def choose(self, view: GameView) -> PlyChoice:
         limits = self.spec.engine_limits or {"depth": 4}
-        move = best_move(self.handle, view.board.fen, limits)
+        move = best_move(self.handle, view.board.fen, limits, legal=view.legal)
         attempt = MoveAttempt(f"bestmove {move.uci}", OK, move=move)
         return PlyChoice(move, (attempt,))
 

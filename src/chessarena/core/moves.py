@@ -254,23 +254,27 @@ def _rights_mask():
 _RIGHTS_MASK = _rights_mask()
 
 
-def _raw_legal_moves(state: BoardState):
-    """All legal moves as (from, to, promotion-or-None) triples, unsorted."""
+def _iter_legal_moves(state: BoardState):
+    """Yield the legal moves as (from, to, promotion-or-None) triples, unsorted.
+
+    King steps come first: each needs only an attack test, so a caller that
+    stops at the first move (is the side to move stuck?) usually pays for a
+    few of those and never for the checker and pin scan.
+    """
     board = state.board
     us = state.turn
     them = -us
     king_sq = board.index(KING * us)
-    checkers, block, pinned = _checkers_and_pins(board, king_sq, us)
-    moves = []
 
     for to in KING_TABLE[king_sq]:
         if board[to] * us > 0:
             continue
         if not _attacked(board, to, them, ignore=king_sq):
-            moves.append((king_sq, to, None))
+            yield (king_sq, to, None)
 
+    checkers, block, pinned = _checkers_and_pins(board, king_sq, us)
     if len(checkers) >= 2:
-        return moves
+        return
 
     mask = block  # None means unrestricted
 
@@ -300,7 +304,7 @@ def _raw_legal_moves(state: BoardState):
                 elif to == ep and ep is not None:
                     nxt = _raw_apply(state, frm, to, None)
                     if not _attacked(nxt.board, nxt.board.index(KING * us), them):
-                        moves.append((frm, to, None))
+                        yield (frm, to, None)
             for to in targets:
                 if allowed is not None and to not in allowed:
                     continue
@@ -308,9 +312,9 @@ def _raw_legal_moves(state: BoardState):
                     continue
                 if (to >> 3) == promo_rank:
                     for promo in _PROMO_KINDS:
-                        moves.append((frm, to, promo))
+                        yield (frm, to, promo)
                 else:
-                    moves.append((frm, to, None))
+                    yield (frm, to, None)
         elif kind == KNIGHT:
             if allowed is not None:
                 continue  # a pinned knight can never move
@@ -319,7 +323,7 @@ def _raw_legal_moves(state: BoardState):
                     continue
                 if mask is not None and to not in mask:
                     continue
-                moves.append((frm, to, None))
+                yield (frm, to, None)
         else:
             dir_range = range(4, 8) if kind == BISHOP else range(4) if kind == ROOK else range(8)
             rays = RAYS[frm]
@@ -330,7 +334,7 @@ def _raw_legal_moves(state: BoardState):
                         break
                     ok = (allowed is None or to in allowed) and (mask is None or to in mask)
                     if ok:
-                        moves.append((frm, to, None))
+                        yield (frm, to, None)
                     if occupied != 0:
                         break
 
@@ -345,7 +349,7 @@ def _raw_legal_moves(state: BoardState):
                 and not _attacked(board, 5, them)
                 and not _attacked(board, 6, them)
             ):
-                moves.append((4, 6, None))
+                yield (4, 6, None)
             if (
                 state.castling & CASTLE_WQ
                 and board[1] == 0
@@ -356,7 +360,7 @@ def _raw_legal_moves(state: BoardState):
                 and not _attacked(board, 3, them)
                 and not _attacked(board, 2, them)
             ):
-                moves.append((4, 2, None))
+                yield (4, 2, None)
         else:
             if (
                 state.castling & CASTLE_BK
@@ -367,7 +371,7 @@ def _raw_legal_moves(state: BoardState):
                 and not _attacked(board, 61, them)
                 and not _attacked(board, 62, them)
             ):
-                moves.append((60, 62, None))
+                yield (60, 62, None)
             if (
                 state.castling & CASTLE_BQ
                 and board[57] == 0
@@ -378,8 +382,12 @@ def _raw_legal_moves(state: BoardState):
                 and not _attacked(board, 59, them)
                 and not _attacked(board, 58, them)
             ):
-                moves.append((60, 58, None))
-    return moves
+                yield (60, 58, None)
+
+
+def _raw_legal_moves(state: BoardState) -> list:
+    """All legal moves as (from, to, promotion-or-None) triples, unsorted."""
+    return list(_iter_legal_moves(state))
 
 
 def legal_moves(state: BoardState) -> list:
@@ -433,12 +441,14 @@ def perft(state: BoardState, depth: int) -> int:
     return sum(perft(_raw_apply(state, *m), depth - 1) for m in raw)
 
 
-def parse_move(text: str, state: BoardState) -> MoveToken:
+def parse_move(text: str, state: BoardState, legal=None) -> MoveToken:
     """Interpret move text: UCI first, then SAN against the board.
 
     UCI parses without consulting the position (legality is the caller's
     concern); SAN is resolved against the legal moves. Model output is noisy,
     so surrounding punctuation, backticks and stray case are tolerated.
+    `legal`, when given, must be `legal_moves(state)` (or the raw triples) of
+    this same state; it saves generating the moves for SAN.
     """
     cleaned = text.strip().strip("`'\"*.,;:!?()[]{}<>").strip()
     if not cleaned:
@@ -446,13 +456,14 @@ def parse_move(text: str, state: BoardState) -> MoveToken:
     lowered = cleaned.lower()
     if _UCI_RE.match(lowered):
         return MoveToken.from_uci(lowered)
-    return _parse_san(cleaned, state, original=text)
+    return _parse_san(cleaned, state, original=text, legal=legal)
 
 
-def _parse_san(text: str, state: BoardState, original: str = "") -> MoveToken:
+def _parse_san(text: str, state: BoardState, original: str = "", legal=None) -> MoveToken:
     shown = original or text
     castle = _CASTLE_RE.match(text)
-    legal = legal_moves(state)
+    if legal is None:
+        legal = _raw_legal_moves(state)
     if castle:
         kingside = castle.group(1) in ("O-O", "0-0")
         king_from = 4 if state.turn > 0 else 60
@@ -468,13 +479,12 @@ def _parse_san(text: str, state: BoardState, original: str = "") -> MoveToken:
     to_idx = _INDEX_OF[target]
     want_promo = promo.lower() if promo else None
     matches = []
-    for mv in legal:
-        frm = mv.from_index
+    for frm, to, promotion in legal:
         if state.board[frm] * state.turn != KIND_TO_CODE[kind]:
             continue
-        if mv.to_index != to_idx:
+        if to != to_idx:
             continue
-        if mv.promotion != want_promo:
+        if promotion != want_promo:
             continue
         if kind == "k" and abs((to_idx & 7) - (frm & 7)) == 2:
             continue  # castling is only written O-O / O-O-O
@@ -482,7 +492,7 @@ def _parse_san(text: str, state: BoardState, original: str = "") -> MoveToken:
             continue
         if dis_rank and (frm >> 3) != RANK_NAMES.index(dis_rank):
             continue
-        matches.append(mv)
+        matches.append(MoveToken(frm, to, promotion))
     if not matches:
         raise UnmatchedSanError(f"no legal move matches SAN {shown!r}")
     if len(matches) > 1:

@@ -338,11 +338,17 @@ def best_move(
     fen: str,
     limits: dict | None = None,
     timeout: float = DEFAULT_SEARCH_TIMEOUT,
+    legal=None,
 ) -> MoveToken:
-    """Ask the engine for its move under depth/nodes/movetime limits."""
-    board = parse_fen(fen)
-    legal = {mv.uci: mv for mv in legal_moves(board)}
-    if not legal:
+    """Ask the engine for its move under depth/nodes/movetime limits.
+
+    `legal`, when given, must be `legal_moves` of the position `fen` names;
+    it saves parsing the FEN and generating the moves again.
+    """
+    if legal is None:
+        legal = legal_moves(parse_fen(fen))
+    by_uci = {mv.uci: mv for mv in legal}
+    if not by_uci:
         raise EngineError(f"position is terminal: {fen}")
     limits = limits or {"depth": 1}
     parts = ["go"]
@@ -358,9 +364,9 @@ def best_move(
     if len(fields) < 2 or fields[1] == "(none)":
         raise EngineError(f"engine returned no move for {fen}")
     uci = fields[1]
-    if uci not in legal:
+    if uci not in by_uci:
         raise EngineProtocolError(f"engine bestmove {uci} is illegal in {fen}")
-    return legal[uci]
+    return by_uci[uci]
 
 
 class AnalysisCache:

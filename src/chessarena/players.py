@@ -197,9 +197,9 @@ def san_history(moves) -> list:
     board = BoardState.start()
     sans = []
     for mv in moves:
-        if not isinstance(mv, MoveToken):
-            mv = parse_move(str(mv), board)
         legal = legal_moves(board)
+        if not isinstance(mv, MoveToken):
+            mv = parse_move(str(mv), board, legal)
         sans.append(move_to_san(board, mv, legal))
         board = apply_move(board, mv, legal)
     return sans
@@ -422,7 +422,7 @@ def extract_move(
         return MoveAttempt(raw, PARSING_ERROR, attempt_index=attempt_index,
                            error="no move found in response")
     try:
-        move = parse_move(candidate, board)
+        move = parse_move(candidate, board, legal)
     except UnmatchedSanError as exc:
         return MoveAttempt(raw, ILLEGAL_MOVE, attempt_index=attempt_index, error=str(exc))
     except MoveParseError as exc:

@@ -5,6 +5,11 @@ annotation pipeline and puzzle harness can be exercised without an external
 engine binary. It plays weak chess but finds forced mates in one, and mates
 in two whose key move gives check, which is all the bundled puzzle corpus
 requires. Output is fully deterministic for a given position and depth.
+
+The search does only the work its answers need: "is the side to move stuck?"
+stops at the first legal reply, check is tested before any reply is
+generated, full reply lists are built only for the mate-in-two scan, and
+material is the position's balance plus what each move captures or promotes.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from .core import (
     parse_fen,
     START_FEN,
 )
-from .core.moves import _raw_apply, _raw_legal_moves
+from .core.board import KIND_TO_CODE, PAWN
+from .core.moves import _iter_legal_moves, _raw_apply, _raw_legal_moves
 
 PIECE_VALUES = {1: 100, 2: 300, 3: 310, 4: 500, 5: 900, 6: 0}
 
@@ -33,12 +39,31 @@ def material_balance(state: BoardState, pov: int) -> int:
     return total
 
 
+def _material_gain(state: BoardState, frm: int, to: int, promo: str | None) -> int:
+    """How much the move changes the mover's material balance."""
+    captured = state.board[to]
+    if captured:
+        gain = PIECE_VALUES[abs(captured)]
+    elif to == state.ep and abs(state.board[frm]) == PAWN and (to & 7) != (frm & 7):
+        gain = PIECE_VALUES[PAWN]  # the pawn taken en passant
+    else:
+        gain = 0
+    if promo:
+        gain += PIECE_VALUES[KIND_TO_CODE[promo]] - PIECE_VALUES[PAWN]
+    return gain
+
+
+def _stuck(state: BoardState) -> bool:
+    """True if the side to move has no legal move: mate or stalemate."""
+    return next(_iter_legal_moves(state), None) is None
+
+
 def _is_mate(state: BoardState) -> bool:
-    return not _raw_legal_moves(state) and is_check(state)
+    return is_check(state) and _stuck(state)
 
 
 def _has_mate_in_one(state: BoardState) -> bool:
-    for raw in _raw_legal_moves(state):
+    for raw in _iter_legal_moves(state):
         if _is_mate(_raw_apply(state, *raw)):
             return True
     return False
@@ -55,18 +80,24 @@ def _forces_mate_in_two(after_key: BoardState, replies) -> bool:
 
 def score_moves(state: BoardState, depth: int) -> list:
     """(uci, kind, value) per legal move, from the mover's perspective."""
-    pov = state.turn
+    balance = material_balance(state, state.turn)
+    scan = depth >= MATE_SCAN_MIN_DEPTH
     scored = []
     for mv in legal_moves(state):
         after = _raw_apply(state, *mv)
-        replies = _raw_legal_moves(after)
-        if not replies:  # mate, or stalemate
-            scored.append((mv.uci, "mate", 1) if is_check(after) else (mv.uci, "cp", 0))
-            continue
-        if depth >= MATE_SCAN_MIN_DEPTH and is_check(after) and _forces_mate_in_two(after, replies):
-            scored.append((mv.uci, "mate", 2))
-            continue
-        scored.append((mv.uci, "cp", material_balance(after, pov)))
+        check = is_check(after)
+        if check and scan:
+            replies = _raw_legal_moves(after)
+            if replies and _forces_mate_in_two(after, replies):
+                scored.append((mv.uci, "mate", 2))
+                continue
+            stuck = not replies
+        else:
+            stuck = _stuck(after)
+        if stuck:  # mate, or stalemate
+            scored.append((mv.uci, "mate", 1) if check else (mv.uci, "cp", 0))
+        else:
+            scored.append((mv.uci, "cp", balance + _material_gain(state, *mv)))
     return scored
 
 

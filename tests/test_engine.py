@@ -3,7 +3,7 @@ import textwrap
 
 import pytest
 
-from chessarena.core import BoardState, legal_moves, parse_fen
+from chessarena.core import START_FEN, BoardState, legal_moves, parse_fen
 from chessarena.engine import (
     AnalysisCache,
     EngineError,
@@ -377,3 +377,21 @@ def test_engine_error_carries_the_stderr_tail(tmp_path):
     assert "fatal: cannot open weights file nn.bin" in message
     assert "line 29" in message and "line 11" in message
     assert "line 10" not in message  # only the last 20 lines are kept
+
+
+def test_engine_plies_reuse_the_games_legal_list(monkeypatch, toy_handle):
+    import chessarena.engine as engine
+    from chessarena.arena import EnginePlayer, GameConfig, RandomPlayer, play_game
+    from chessarena.players import PlayerSpec
+
+    calls = []
+    original = engine.legal_moves
+    monkeypatch.setattr(engine, "legal_moves", lambda board: calls.append(board) or original(board))
+    toy = EnginePlayer(PlayerSpec(id="toy", kind="uci_engine", engine_limits={"depth": 2}), toy_handle)
+    record = play_game(toy, RandomPlayer(PlayerSpec(id="rand", kind="random")), GameConfig(ply_cap=40), seed=3)
+    assert not record.aborted and len(record.plies) >= 20
+    assert calls == []  # every engine ply checked the bestmove against the game's list
+    assert best_move(toy_handle, START_FEN, {"depth": 2}) == best_move(
+        toy_handle, START_FEN, {"depth": 2}, legal=legal_moves(BoardState.start())
+    )
+    assert len(calls) == 1  # without a list, best_move generates its own

@@ -158,3 +158,30 @@ def test_extract_move_with_the_legal_list_matches_without():
                 for reasoning in (None, "hidden analysis"):
                     expected = extract_move(raw, mode, board, reasoning=reasoning)
                     assert extract_move(raw, mode, board, reasoning=reasoning, legal=legal) == expected
+
+
+def test_san_extraction_uses_the_legal_list_it_is_handed(monkeypatch):
+    import chessarena.core.moves as moves
+
+    cases = [
+        (BoardState.start(), ["Nf3", "e4", "d4", "Qh5", "O-O", "Nf3xz"]),
+        (parse_fen("rnbqkbnr/ppp1pppp/8/3p4/4P3/8/PPPP1PPP/RNBQKBNR w KQkq - 0 2"), ["exd5"]),
+        (parse_fen("8/4P1k1/8/8/8/8/6K1/8 w - - 0 1"), ["e8=Q", "e8=Q+", "e8"]),
+        (parse_fen("r3k2r/pppppppp/8/8/8/8/PPPPPPPP/R3K2R w KQkq - 0 1"), ["O-O", "O-O-O", "0-0"]),
+        (parse_fen("k7/8/8/8/8/8/1K6/R6R w - - 0 1"), ["Rad1", "Rhd1", "Rd1", "R1d1"]),
+    ]
+    jobs = [
+        (board, legal_moves(board), f"```{san}```", mode)
+        for board, sans in cases for san in sans for mode in PLAY_MODES[:3]
+    ]
+    expected = [extract_move(raw, mode, board) for board, _legal, raw, mode in jobs]
+    assert {a.outcome for a in expected} == {"ok", "illegal_move", "parsing_error"}
+    counts = Counter()
+    for module, name in ((moves, "legal_moves"), (moves, "_raw_legal_moves"), (players, "legal_moves")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _name=name, _original=original: counts.update([_name]) or _original(*a)
+        )
+    got = [extract_move(raw, mode, board, legal=legal) for board, legal, raw, mode in jobs]
+    assert got == expected
+    assert not counts

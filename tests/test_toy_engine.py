@@ -1,5 +1,6 @@
 """Toyfish's search output is pinned: a golden digest over playout and puzzle
-positions, and the mate-in-two label against the brute-force oracle."""
+positions, the mate-in-two label against the brute-force oracle, and the
+shortcuts the search takes against the full computations they replace."""
 
 import hashlib
 import json
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from chessarena.core import BoardState, MoveToken, apply_move, legal_moves, parse_fen
 from chessarena.evals import load_lichess_puzzles
-from chessarena.toy_engine import _order_key, score_moves
+from chessarena.core.moves import _iter_legal_moves, _raw_apply, _raw_legal_moves
+from chessarena.toy_engine import _material_gain, _order_key, _stuck, material_balance, score_moves
 
 from conftest import PUZZLES_CSV, playout
 from oracle_chess import o_apply_uci, o_in_check, o_legal_moves, o_parse
@@ -97,3 +99,32 @@ def test_mate_in_two_label_matches_oracle(source, depth):
             and all(_o_allows_mate_in_one(o_apply_uci(after, r)) for r in replies)
         )
         assert ((kind, value) == ("mate", 2)) == forced, (board.fen, uci)
+
+
+STUCK_FENS = [
+    "6k1/5ppp/8/8/8/8/8/R5K1 b - - 0 1",  # not stuck: back rank still open
+    "R5k1/5ppp/8/8/8/8/8/6K1 b - - 0 1",  # back-rank mate
+    "7k/6Q1/5K2/8/8/8/8/8 b - - 0 1",  # mate by a protected queen
+    "7k/8/5KQ1/8/8/8/8/8 b - - 0 1",  # stalemate
+    "4k3/8/8/8/8/8/2r5/r3K3 w - - 0 1",  # mate along a rank
+    "k7/8/1Q6/8/8/8/8/7K b - - 0 1",  # stalemate in the corner
+    "4k3/4r3/8/8/b7/8/8/4K3 w - - 0 1",  # single check, king steps aside
+    "4k3/8/8/8/1b6/3n4/8/4K3 w - - 0 1",  # double check, only king steps
+]
+
+
+def test_lazy_generator_matches_the_full_list():
+    boards = _playout_positions() + [parse_fen(fen) for fen in STUCK_FENS]
+    assert any(not legal_moves(b) for b in boards) and any(legal_moves(b) for b in boards)
+    for board in boards:
+        assert list(_iter_legal_moves(board)) == _raw_legal_moves(board)
+        assert _stuck(board) == (not legal_moves(board)), board.fen
+
+
+def test_material_gain_matches_a_full_recount():
+    for board in _playout_positions() + [parse_fen("4k3/1P6/8/3pP3/8/8/8/4K3 w - d6 0 1")]:
+        pov = board.turn
+        balance = material_balance(board, pov)
+        for raw in _raw_legal_moves(board):
+            after = _raw_apply(board, *raw)
+            assert balance + _material_gain(board, *raw) == material_balance(after, pov), (board.fen, raw)
