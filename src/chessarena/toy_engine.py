@@ -8,8 +8,9 @@ requires. Output is fully deterministic for a given position and depth.
 
 The search does only the work its answers need: "is the side to move stuck?"
 stops at the first legal reply, check is tested before any reply is
-generated, full reply lists are built only for the mate-in-two scan, and
-material is the position's balance plus what each move captures or promotes.
+generated, full reply lists are built only for the mate-in-two scan, whose
+mate-in-one probe plays only moves that could give check, and material is
+the position's balance plus what each move captures or promotes.
 """
 
 from __future__ import annotations
@@ -23,12 +24,30 @@ from .core import (
     parse_fen,
     START_FEN,
 )
-from .core.board import KIND_TO_CODE, PAWN
-from .core.moves import _iter_legal_moves, _raw_apply, _raw_legal_moves
+from .core.board import BISHOP, KING, KIND_TO_CODE, KNIGHT, PAWN, QUEEN, ROOK
+from .core.moves import (
+    KNIGHT_TABLE,
+    PAWN_ATTACKERS_B,
+    PAWN_ATTACKERS_W,
+    RAYS,
+    _iter_legal_moves,
+    _raw_apply,
+    _raw_legal_moves,
+)
 
 PIECE_VALUES = {1: 100, 2: 300, 3: 310, 4: 500, 5: 900, 6: 0}
 
 MATE_SCAN_MIN_DEPTH = 3  # "go depth" threshold that enables the mate-in-2 scan
+
+# Per square: the squares from which a piece of each kind could attack it on
+# an empty board, and every square on a line through it.
+_LINES = tuple(frozenset(sq for ray in rays for sq in ray) for rays in RAYS)
+_REACH = {
+    KNIGHT: tuple(frozenset(table) for table in KNIGHT_TABLE),
+    BISHOP: tuple(frozenset(sq for ray in rays[4:] for sq in ray) for rays in RAYS),
+    ROOK: tuple(frozenset(sq for ray in rays[:4] for sq in ray) for rays in RAYS),
+    QUEEN: _LINES,
+}
 
 
 def material_balance(state: BoardState, pov: int) -> int:
@@ -62,9 +81,25 @@ def _is_mate(state: BoardState) -> bool:
     return is_check(state) and _stuck(state)
 
 
+def _may_give_check(state: BoardState, king_sq: int, frm: int, to: int, promo: str | None) -> bool:
+    """False only when the move cannot check the enemy king on `king_sq`: the
+    piece lands nowhere it could attack the king from, even on an empty board,
+    and leaves no line to the king that a discovered check could open."""
+    if frm in _LINES[king_sq]:
+        return True
+    kind = KIND_TO_CODE[promo] if promo else abs(state.board[frm])
+    if kind == PAWN:
+        attackers = PAWN_ATTACKERS_W if state.turn > 0 else PAWN_ATTACKERS_B
+        return to == state.ep or to in attackers[king_sq]  # en passant clears a second square
+    if kind == KING:
+        return abs(to - frm) == 2  # castling: the rook may give check
+    return to in _REACH[kind][king_sq]
+
+
 def _has_mate_in_one(state: BoardState) -> bool:
+    king_sq = state.board.index(-KING * state.turn)
     for raw in _iter_legal_moves(state):
-        if _is_mate(_raw_apply(state, *raw)):
+        if _may_give_check(state, king_sq, *raw) and _is_mate(_raw_apply(state, *raw)):
             return True
     return False
 

@@ -9,9 +9,18 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from chessarena.core import BoardState, MoveToken, apply_move, legal_moves, parse_fen
-from chessarena.evals import load_lichess_puzzles
 from chessarena.core.moves import _iter_legal_moves, _raw_apply, _raw_legal_moves
-from chessarena.toy_engine import _material_gain, _order_key, _stuck, material_balance, score_moves
+from chessarena.evals import load_lichess_puzzles
+from chessarena.core import is_check
+from chessarena.core.board import KING
+from chessarena.toy_engine import (
+    _material_gain,
+    _may_give_check,
+    _order_key,
+    _stuck,
+    material_balance,
+    score_moves,
+)
 
 from conftest import PUZZLES_CSV, playout
 from oracle_chess import o_apply_uci, o_in_check, o_legal_moves, o_parse
@@ -64,14 +73,10 @@ def test_score_moves_golden_digest():
     assert _digest(jobs) == GOLDEN_DIGEST
 
 
-def _o_mates(pos) -> bool:
-    return o_in_check(pos) and not o_legal_moves(pos)
-
-
 def _o_allows_mate_in_one(pos) -> bool:
     for uci in o_legal_moves(pos):
         after = o_apply_uci(pos, uci)
-        if o_in_check(after) and _o_mates(after):
+        if o_in_check(after) and not o_legal_moves(after):
             return True
     return False
 
@@ -128,3 +133,24 @@ def test_material_gain_matches_a_full_recount():
         for raw in _raw_legal_moves(board):
             after = _raw_apply(board, *raw)
             assert balance + _material_gain(board, *raw) == material_balance(after, pov), (board.fen, raw)
+
+
+CHECK_FENS = [
+    "3k4/8/8/8/8/8/8/R3K3 w Q - 0 1",  # O-O-O: the rook checks from d1
+    "5k2/8/8/8/8/8/8/4K2R w K - 0 1",  # O-O: the rook checks from f1
+    "8/5k2/8/3pP3/8/1B6/8/K7 w - d6 0 1",  # en passant clears d5 for the bishop
+    "8/1P1k4/8/8/8/8/8/K7 w - - 0 1",  # only promotion to a knight checks
+    "4k3/8/8/8/4N3/8/8/4R1K1 w - - 0 1",  # every knight step uncovers the rook
+]
+
+def test_may_give_check_never_misses_a_check():
+    boards = _playout_positions() + [_after_setup(p, n) for p in PUZZLES for n in (1, 3)]
+    boards += [parse_fen(fen) for fen in CHECK_FENS]
+    checks = 0
+    for board in boards:
+        king_sq = board.board.index(-KING * board.turn)
+        for raw in _raw_legal_moves(board):
+            if is_check(_raw_apply(board, *raw)):
+                checks += 1
+                assert _may_give_check(board, king_sq, *raw), (board.fen, raw)
+    assert checks > 1000
