@@ -3,6 +3,8 @@ import textwrap
 
 import pytest
 
+import chessarena.engine as engine
+from chessarena.arena import EnginePlayer, GameConfig, RandomPlayer, play_game
 from chessarena.core import START_FEN, BoardState, legal_moves, parse_fen
 from chessarena.engine import (
     AnalysisCache,
@@ -17,6 +19,7 @@ from chessarena.engine import (
     top_moves_of,
     win_rate_from_score,
 )
+from chessarena.players import PlayerSpec
 
 from conftest import TOY_ENGINE_CMD, playout
 
@@ -380,10 +383,6 @@ def test_engine_error_carries_the_stderr_tail(tmp_path):
 
 
 def test_engine_plies_reuse_the_games_legal_list(monkeypatch, toy_handle):
-    import chessarena.engine as engine
-    from chessarena.arena import EnginePlayer, GameConfig, RandomPlayer, play_game
-    from chessarena.players import PlayerSpec
-
     calls = []
     original = engine.legal_moves
     monkeypatch.setattr(engine, "legal_moves", lambda board: calls.append(board) or original(board))
