@@ -71,14 +71,11 @@ class GameConfig:
 class GameView:
     """What a player sees when asked to move.
 
-    `legal`, when set, is `legal_moves(board)`; a model player shows it in
-    the prompt only when its spec provides legal moves. `sans`, when set, is
-    the SAN of every move in `moves_played`.
+    `sans`, when set, is the SAN of every move in `moves_played`.
     """
 
     board: BoardState
     moves_played: tuple
-    legal: list | None
     color: str
     rng: random.Random
     sans: tuple | None = None
@@ -191,7 +188,7 @@ class Player:
 
 class RandomPlayer(Player):
     def choose(self, view: GameView) -> PlyChoice:
-        move = random_player_move(view.board, view.rng, view.legal)
+        move = random_player_move(view.board, view.rng)
         attempt = MoveAttempt(move.uci, OK, move=move)
         return PlyChoice(move, (attempt,))
 
@@ -203,7 +200,7 @@ class EnginePlayer(Player):
 
     def choose(self, view: GameView) -> PlyChoice:
         limits = self.spec.engine_limits or {"depth": 4}
-        move = best_move(self.handle, view.board.fen, limits, legal=view.legal)
+        move = best_move(self.handle, view.board, limits)
         attempt = MoveAttempt(f"bestmove {move.uci}", OK, move=move)
         return PlyChoice(move, (attempt,))
 
@@ -215,7 +212,7 @@ class LlmPlayer(Player):
         self.max_attempts = max_attempts
 
     def choose(self, view: GameView) -> PlyChoice:
-        shown = view.legal if self.spec.provide_legal_moves else None
+        shown = legal_moves(view.board) if self.spec.provide_legal_moves else None
         if self.spec.play_mode == "blindfold":
             messages = build_blindfold_conversation(
                 self.spec, view.moves_played, shown, view.color
@@ -228,8 +225,7 @@ class LlmPlayer(Player):
             json.dumps([m.as_dict() for m in messages], sort_keys=True).encode()
         ).hexdigest()
         move, attempts, _transcript = request_move(
-            self.spec, messages, view.board, self.transport, max_attempts=self.max_attempts,
-            legal=view.legal,
+            self.spec, messages, view.board, self.transport, max_attempts=self.max_attempts
         )
         return PlyChoice(move, tuple(attempts), prompt_digest=digest)
 
@@ -315,16 +311,11 @@ def play_game(
     aborted = False
     error = None
 
-    # One legal-move list per position, shared by the view, the move check,
-    # the SAN, the repetition key and the status check.
-    legal = legal_moves(board)
-    status = game_status(board, history, cfg.ply_cap, legal=legal)
+    status = game_status(board, history, cfg.ply_cap)
     while status is None:
         mover = white if board.turn > 0 else black
         color = WHITE if board.turn > 0 else BLACK
-        view = GameView(
-            board, tuple(moves_played), legal, color, rng, None if sans is None else tuple(sans)
-        )
+        view = GameView(board, tuple(moves_played), color, rng, None if sans is None else tuple(sans))
         try:
             choice = mover.choose(view)
         except (EngineError, TransportError) as exc:
@@ -345,14 +336,13 @@ def play_game(
             winner = BLACK if color == WHITE else WHITE
             termination = Termination(FORFEIT, winner)
             break
-        after = apply_move(board, choice.move, legal)
+        after = apply_move(board, choice.move)
         if sans is not None:
-            sans.append(move_to_san(board, choice.move, legal))
+            sans.append(move_to_san(board, choice.move))
         board = after
         moves_played.append(choice.move)
-        legal = legal_moves(board)
-        history = history.push(board, legal)
-        status = game_status(board, history, cfg.ply_cap, legal=legal)
+        history = history.push(board)
+        status = game_status(board, history, cfg.ply_cap)
     if termination is None and not aborted:
         termination = status
     return GameRecord(

@@ -303,7 +303,10 @@ def cmd_eval_basic(args) -> int:
 
 def cmd_eval_moves(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    items = evals.load_move_items(_require_file(args.items, "items file"))
+    try:
+        items = evals.load_move_items(_require_file(args.items, "items file"))
+    except ValueError as exc:
+        raise UserError(str(exc)) from None
     if args.max:
         items = items[: args.max]
     if not items:
@@ -327,12 +330,15 @@ def cmd_eval_moves(args) -> int:
 
 def cmd_eval_puzzles(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    puzzles = evals.load_lichess_puzzles(
-        _require_file(args.csv, "puzzle CSV"),
-        min_rating=args.min_rating,
-        max_rating=args.max_rating,
-        limit=args.max,
-    )
+    try:
+        puzzles = evals.load_lichess_puzzles(
+            _require_file(args.csv, "puzzle CSV"),
+            min_rating=args.min_rating,
+            max_rating=args.max_rating,
+            limit=args.max,
+        )
+    except ValueError as exc:
+        raise UserError(str(exc)) from None
     if not puzzles:
         raise UserError("no puzzles matched the filters")
     spec = _player_spec(cfg, args.player, depth=args.depth)
@@ -381,7 +387,10 @@ def cmd_leaderboard(args) -> int:
     pool_path = run_dir.root / "pool.json"
     if not pool_path.exists():
         raise UserError(f"no pool.json in {run_dir.root}; run a tournament or match first")
-    pool = run_dir.read_pool()
+    try:
+        pool = run_dir.read_pool()
+    except ValueError as exc:  # JSONDecodeError is a ValueError
+        raise UserError(f"{pool_path}: {exc}") from None
     rating_cfg = RatingConfig() if not args.all else RatingConfig(display_rd_threshold=float("inf"))
     entries = arena.compute_leaderboard(pool, rating_cfg)
     if not args.all:  # --all only prints; the run's files keep the filtered table

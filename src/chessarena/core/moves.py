@@ -391,9 +391,17 @@ def _raw_legal_moves(state: BoardState) -> list:
 
 
 def legal_moves(state: BoardState) -> list:
-    """All legal moves, sorted lexicographically by UCI string."""
-    moves = [MoveToken._make(raw) for raw in _raw_legal_moves(state)]
-    moves.sort(key=lambda mv: mv.uci)
+    """All legal moves, sorted lexicographically by UCI string.
+
+    Generated once per state and kept in its __dict__, which the dataclass
+    eq, hash and repr never read; the state is immutable, so later calls
+    return the same list, and callers must not change it.
+    """
+    moves = state.__dict__.get("_legal_moves")
+    if moves is None:
+        moves = [MoveToken._make(raw) for raw in _raw_legal_moves(state)]
+        moves.sort(key=lambda mv: mv.uci)
+        moves = state.__dict__.setdefault("_legal_moves", moves)
     return moves
 
 
@@ -410,13 +418,9 @@ def legal_moves_for_square(state: BoardState, square):
     return piece, [mv for mv in legal_moves(state) if mv.from_index == idx]
 
 
-def apply_move(state: BoardState, move: MoveToken, legal=None) -> BoardState:
-    """Apply a legal move; raises IllegalMoveError otherwise.
-
-    `legal`, when given, must be `legal_moves(state)` (or the raw triples) of
-    this same state; it saves generating the moves again.
-    """
-    if move not in (_raw_legal_moves(state) if legal is None else legal):
+def apply_move(state: BoardState, move: MoveToken) -> BoardState:
+    """Apply a legal move; raises IllegalMoveError otherwise."""
+    if move not in legal_moves(state):
         frm = move.from_index
         code = state.board[frm]
         if code == 0:
@@ -441,14 +445,12 @@ def perft(state: BoardState, depth: int) -> int:
     return sum(perft(_raw_apply(state, *m), depth - 1) for m in raw)
 
 
-def parse_move(text: str, state: BoardState, legal=None) -> MoveToken:
+def parse_move(text: str, state: BoardState) -> MoveToken:
     """Interpret move text: UCI first, then SAN against the board.
 
     UCI parses without consulting the position (legality is the caller's
     concern); SAN is resolved against the legal moves. Model output is noisy,
     so surrounding punctuation, backticks and stray case are tolerated.
-    `legal`, when given, must be `legal_moves(state)` (or the raw triples) of
-    this same state; it saves generating the moves for SAN.
     """
     cleaned = text.strip().strip("`'\"*.,;:!?()[]{}<>").strip()
     if not cleaned:
@@ -456,14 +458,13 @@ def parse_move(text: str, state: BoardState, legal=None) -> MoveToken:
     lowered = cleaned.lower()
     if _UCI_RE.match(lowered):
         return MoveToken.from_uci(lowered)
-    return _parse_san(cleaned, state, original=text, legal=legal)
+    return _parse_san(cleaned, state, original=text)
 
 
-def _parse_san(text: str, state: BoardState, original: str = "", legal=None) -> MoveToken:
+def _parse_san(text: str, state: BoardState, original: str = "") -> MoveToken:
     shown = original or text
     castle = _CASTLE_RE.match(text)
-    if legal is None:
-        legal = _raw_legal_moves(state)
+    legal = legal_moves(state)
     if castle:
         kingside = castle.group(1) in ("O-O", "0-0")
         king_from = 4 if state.turn > 0 else 60
@@ -500,14 +501,9 @@ def _parse_san(text: str, state: BoardState, original: str = "", legal=None) -> 
     return matches[0]
 
 
-def move_to_san(state: BoardState, move: MoveToken, legal=None) -> str:
-    """Minimal unambiguous SAN for a legal move, with +/# suffix.
-
-    `legal`, when given, must be `legal_moves(state)` (or the raw triples) of
-    this same state; it saves generating the moves again.
-    """
-    if legal is None:
-        legal = _raw_legal_moves(state)
+def move_to_san(state: BoardState, move: MoveToken) -> str:
+    """Minimal unambiguous SAN for a legal move, with +/# suffix."""
+    legal = legal_moves(state)
     if move not in legal:
         raise IllegalMoveError(f"{move.uci}: not legal in this position")
     frm, to, promo = move

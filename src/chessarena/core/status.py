@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .board import BISHOP, BLACK, KING, KNIGHT, PAWN, BoardState, WHITE
-from .moves import _raw_legal_moves, is_check
+from .moves import is_check, legal_moves
 
 CHECKMATE = "checkmate"
 FORFEIT = "forfeit"
@@ -55,22 +55,19 @@ class Termination:
         return 1.0 if self.winner == WHITE else 0.0
 
 
-def _ep_capture_legal(state: BoardState, legal=None) -> bool:
+def _ep_capture_legal(state: BoardState) -> bool:
     if state.ep is None:
         return False
     us = state.turn
-    for frm, to, _promo in _raw_legal_moves(state) if legal is None else legal:
+    for frm, to, _promo in legal_moves(state):
         if to == state.ep and state.board[frm] == PAWN * us and (frm & 7) != (to & 7):
             return True
     return False
 
 
-def repetition_key(state: BoardState, legal=None) -> tuple:
-    """Placement + side + castling + usable en-passant right, for repetitions.
-
-    `legal`, when given, must be `legal_moves(state)` of this same state.
-    """
-    ep = state.ep if _ep_capture_legal(state, legal) else None
+def repetition_key(state: BoardState) -> tuple:
+    """Placement + side + castling + usable en-passant right, for repetitions."""
+    ep = state.ep if _ep_capture_legal(state) else None
     return (state.board, state.turn, state.castling, ep)
 
 
@@ -85,9 +82,8 @@ class PositionHistory:
     def start(cls, state: BoardState) -> "PositionHistory":
         return cls((repetition_key(state),), 0)
 
-    def push(self, state: BoardState, legal=None) -> "PositionHistory":
-        """`legal`, when given, must be `legal_moves(state)` of this state."""
-        return PositionHistory(self.keys + (repetition_key(state, legal),), self.ply_count + 1)
+    def push(self, state: BoardState) -> "PositionHistory":
+        return PositionHistory(self.keys + (repetition_key(state),), self.ply_count + 1)
 
     def max_repetition(self) -> int:
         return max(Counter(self.keys).values())
@@ -120,14 +116,13 @@ def _insufficient_material(state: BoardState) -> bool:
 
 
 def game_status(
-    state: BoardState, history: PositionHistory, ply_cap: int = DEFAULT_PLY_CAP, legal=None
+    state: BoardState, history: PositionHistory, ply_cap: int = DEFAULT_PLY_CAP
 ) -> Termination | None:
     """Terminal state of the position, or None while the game is ongoing.
 
     Repetition and move-count draws apply automatically, with no claim step.
-    `legal`, when given, must be `legal_moves(state)` of this same state.
     """
-    if not (_raw_legal_moves(state) if legal is None else legal):
+    if not legal_moves(state):
         if is_check(state):
             winner = BLACK if state.turn > 0 else WHITE
             return Termination(CHECKMATE, winner)

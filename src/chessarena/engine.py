@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import MoveToken, legal_moves, parse_fen
+from .core import BoardState, MoveToken, legal_moves, parse_fen
 
 DEFAULT_HANDSHAKE_TIMEOUT = 10.0
 DEFAULT_SEARCH_TIMEOUT = 600.0
@@ -335,19 +335,13 @@ def analyze_all_moves(
 
 def best_move(
     handle: EngineHandle,
-    fen: str,
+    board: BoardState,
     limits: dict | None = None,
     timeout: float = DEFAULT_SEARCH_TIMEOUT,
-    legal=None,
 ) -> MoveToken:
-    """Ask the engine for its move under depth/nodes/movetime limits.
-
-    `legal`, when given, must be `legal_moves` of the position `fen` names;
-    it saves parsing the FEN and generating the moves again.
-    """
-    if legal is None:
-        legal = legal_moves(parse_fen(fen))
-    by_uci = {mv.uci: mv for mv in legal}
+    """Ask the engine for its move in `board` under depth/nodes/movetime limits."""
+    fen = board.fen
+    by_uci = {mv.uci: mv for mv in legal_moves(board)}
     if not by_uci:
         raise EngineError(f"position is terminal: {fen}")
     limits = limits or {"depth": 1}

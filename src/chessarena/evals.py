@@ -37,8 +37,8 @@ from .players import (
     LLM_API,
     MoveAttempt,
     OK,
+    PLAY_MODES,
     PlayerSpec,
-    UCI_ENGINE,
     extract_candidate,
     extract_move,
     random_player_move,
@@ -290,16 +290,14 @@ def predict_move(
 ) -> MoveAttempt:
     """One move by the arena's player for `spec`, with a single attempt. LLM
     players are prompted with `template_mode` when the task pins one; random
-    players draw from `rng`. Engine players never read the legal list, so
-    none is built for them; the SAN history is built once, only for a PGN
+    players draw from `rng`. The SAN history is built once, only for a PGN
     prompt."""
     spec = replace(spec, play_mode=template_mode or spec.play_mode)
     player = make_player(spec, transport=transport, handle=handle, max_attempts=1)
     history = tuple(history or ())
-    legal = None if spec.kind == UCI_ENGINE else legal_moves(board)
     pgn = spec.kind == LLM_API and spec.play_mode != BLINDFOLD and spec.history_format == HISTORY_PGN
     sans = tuple(san_history(history)) if pgn else None
-    view = GameView(board, history, legal, board.side_to_move, rng, sans)
+    view = GameView(board, history, board.side_to_move, rng, sans)
     return player.choose(view).attempts[0]
 
 
@@ -405,19 +403,50 @@ def save_move_items(items, path) -> None:
             )
 
 
+def _utf8_lines(fh, path):
+    """The lines of a binary file as text; a line that is not UTF-8 raises
+    ValueError naming the file and the line."""
+    for number, raw in enumerate(fh, 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{number}: not UTF-8 text ({exc.reason})") from None
+
+
+def _move_item(row) -> MoveSelectionItem:
+    if not isinstance(row, dict):
+        raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+    fen, history, mode, legal_flag = row["fen"], row["history"], row["mode"], row["legal_flag"]
+    if not (isinstance(fen, str) and isinstance(history, list) and all(isinstance(m, str) for m in history)):
+        raise TypeError("fen must be a string and history a list of strings")
+    if mode not in PLAY_MODES or not isinstance(legal_flag, bool):
+        raise TypeError(f"mode must be one of {PLAY_MODES} and legal_flag a boolean")
+    san_history(history)  # the moves must replay from the initial position
+    table = table_from_dict(row["table"])
+    if not all(isinstance(ev.win_rate, (int, float)) for ev in table.evals):
+        raise TypeError("every q in the table must be a number")
+    return MoveSelectionItem(fen, tuple(history), mode, legal_flag, table)
+
+
 def load_move_items(path) -> list:
+    """Read the items `save_move_items` wrote, one JSON object per line.
+
+    A line that is not UTF-8 or not JSON, a missing or mistyped field, a
+    history that does not replay, a bad FEN, or a table that does not cover
+    the legal moves raises ValueError naming the file and the line.
+    """
+    path = Path(path)
     items = []
-    for line in Path(path).read_text().splitlines():
-        row = json.loads(line)
-        items.append(
-            MoveSelectionItem(
-                fen=row["fen"],
-                history=tuple(row["history"]),
-                mode=row["mode"],
-                legal_flag=row["legal_flag"],
-                table=table_from_dict(row["table"]),
-            )
-        )
+    with open(path, "rb") as fh:
+        for number, line in enumerate(_utf8_lines(fh, path), 1):
+            if not line.strip():
+                continue
+            try:
+                items.append(_move_item(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{number}: missing field {exc}") from None
+            except (ValueError, TypeError, ChessError) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return items
 
 
@@ -454,41 +483,57 @@ def load_lichess_puzzles(
     """Read the Lichess puzzle CSV, replay-validating each solution line.
 
     Rows whose solutions do not replay as legal moves are skipped (counted in
-    the log); the schema must carry the standard column set.
+    the log); the schema must carry the standard column set. A file that is
+    not UTF-8 or not CSV, lacks a column, or has a short row or a rating that
+    is not an integer raises ValueError naming the file and the line.
     """
     path = Path(csv_path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty puzzle file")
-        missing = [c for c in _PUZZLE_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        puzzles = []
-        skipped = 0
-        for row in reader:
+    with open(path, "rb") as fh:
+        reader = csv.DictReader(_utf8_lines(fh, path))
+        try:
+            puzzles = _read_puzzle_rows(reader, path, min_rating, max_rating, themes, limit)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return puzzles
+
+
+def _read_puzzle_rows(reader, path, min_rating, max_rating, themes, limit) -> list:
+    if reader.fieldnames is None:
+        raise ValueError(f"{path}: empty puzzle file")
+    missing = [c for c in _PUZZLE_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise ValueError(f"{path}:1: missing columns {missing}")
+    puzzles = []
+    skipped = 0
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        if any(row[c] is None for c in _PUZZLE_COLUMNS):
+            raise ValueError(f"{where}: row has fewer than {len(reader.fieldnames)} fields")
+        try:
             rating = int(row["Rating"])
-            if min_rating is not None and rating < min_rating:
-                continue
-            if max_rating is not None and rating > max_rating:
-                continue
-            row_themes = tuple(row["Themes"].split())
-            if themes and not themes.intersection(row_themes):
-                continue
-            moves = tuple(row["Moves"].split())
-            if not moves:
-                skipped += 1
-                continue
-            try:
-                board = parse_fen(row["FEN"])
-                for uci in moves:
-                    board = apply_move(board, MoveToken.from_uci(uci))
-            except (ChessError, ValueError):
-                skipped += 1
-                continue
-            puzzles.append(Puzzle(row["PuzzleId"], row["FEN"], moves, rating, row_themes))
-            if limit is not None and len(puzzles) >= limit:
-                break
+        except ValueError:
+            raise ValueError(f"{where}: Rating {row['Rating']!r} is not an integer") from None
+        if min_rating is not None and rating < min_rating:
+            continue
+        if max_rating is not None and rating > max_rating:
+            continue
+        row_themes = tuple(row["Themes"].split())
+        if themes and not themes.intersection(row_themes):
+            continue
+        moves = tuple(row["Moves"].split())
+        if not moves:
+            skipped += 1
+            continue
+        try:
+            board = parse_fen(row["FEN"])
+            for uci in moves:
+                board = apply_move(board, MoveToken.from_uci(uci))
+        except (ChessError, ValueError):
+            skipped += 1
+            continue
+        puzzles.append(Puzzle(row["PuzzleId"], row["FEN"], moves, rating, row_themes))
+        if limit is not None and len(puzzles) >= limit:
+            break
     if skipped:
         log.warning("skipped %d invalid puzzle rows from %s", skipped, path)
     return puzzles

@@ -197,11 +197,10 @@ def san_history(moves) -> list:
     board = BoardState.start()
     sans = []
     for mv in moves:
-        legal = legal_moves(board)
         if not isinstance(mv, MoveToken):
-            mv = parse_move(str(mv), board, legal)
-        sans.append(move_to_san(board, mv, legal))
-        board = apply_move(board, mv, legal)
+            mv = parse_move(str(mv), board)
+        sans.append(move_to_san(board, mv))
+        board = apply_move(board, mv)
     return sans
 
 
@@ -398,13 +397,11 @@ def extract_move(
     *,
     reasoning: str | None = None,
     attempt_index: int = 1,
-    legal=None,
 ) -> MoveAttempt:
     """Classify a raw response into exactly one attempt outcome.
 
     Never raises: unparseable text, well-formed-but-illegal moves and bullet
-    thinking violations are all encoded outcomes. `legal`, when given, must
-    be `legal_moves(board)` of this same board.
+    thinking violations are all encoded outcomes.
     """
     if mode == BULLET:
         if reasoning and reasoning.strip():
@@ -422,12 +419,12 @@ def extract_move(
         return MoveAttempt(raw, PARSING_ERROR, attempt_index=attempt_index,
                            error="no move found in response")
     try:
-        move = parse_move(candidate, board, legal)
+        move = parse_move(candidate, board)
     except UnmatchedSanError as exc:
         return MoveAttempt(raw, ILLEGAL_MOVE, attempt_index=attempt_index, error=str(exc))
     except MoveParseError as exc:
         return MoveAttempt(raw, PARSING_ERROR, attempt_index=attempt_index, error=str(exc))
-    if move not in (legal_moves(board) if legal is None else legal):
+    if move not in legal_moves(board):
         return MoveAttempt(raw, ILLEGAL_MOVE, attempt_index=attempt_index,
                            error=f"{move.uci} is not legal here")
     return MoveAttempt(raw, OK, move=move, attempt_index=attempt_index)
@@ -525,15 +522,13 @@ def request_move(
     max_attempts: int = MAX_ATTEMPTS,
     backoff: float = 1.0,
     sleep=time.sleep,
-    legal=None,
 ) -> tuple[MoveToken | None, list, list]:
     """Run the retry protocol for an LLM player.
 
     Returns (move or None on forfeit, attempts, final transcript). Each
     failed attempt appends the raw reply and a corrective user message; a
     transport error is retried once automatically, then scored as a failed
-    attempt. `legal`, when given, must be `legal_moves(board)`; every
-    attempt is checked against it.
+    attempt.
     """
     transcript = list(messages)
     attempts = []
@@ -563,7 +558,6 @@ def request_move(
             board,
             reasoning=response.reasoning,
             attempt_index=index,
-            legal=legal,
         )
         if response.usage is not None or response.reasoning is not None:
             attempt_rec = replace(attempt_rec, token_usage=response.usage, reasoning=response.reasoning)
@@ -578,12 +572,9 @@ def request_move(
     return None, attempts, transcript
 
 
-def random_player_move(board: BoardState, rng: random.Random, legal=None) -> MoveToken:
-    """Uniform draw over the (lexicographically ordered) legal moves.
-
-    `legal`, when given, must be `legal_moves(board)` of this same board.
-    """
-    moves = legal_moves(board) if legal is None else legal
+def random_player_move(board: BoardState, rng: random.Random) -> MoveToken:
+    """Uniform draw over the (lexicographically ordered) legal moves."""
+    moves = legal_moves(board)
     if not moves:
         raise ValueError("no legal moves to draw from")
     return moves[rng.randrange(len(moves))]

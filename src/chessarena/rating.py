@@ -162,14 +162,27 @@ def pool_to_json(pool: list) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
+# Required fields of a pool document entry and the JSON types they take.
+_POOL_FIELDS = {"id": str, "r": (int, float), "rd": (int, float), "games": int}
+
+
 def pool_from_json(text: str) -> list:
+    """Parse a `pool_to_json` document; one of the wrong shape or types
+    raises ValueError naming the entry."""
     rows = json.loads(text)
-    return [
-        PoolEntry(
-            id=row["id"],
-            rating=RatingState(row["r"], row["rd"], row["games"]),
-            mode=row.get("mode"),
-            legal_moves=row.get("legal_moves_flag", True),
-        )
-        for row in rows
-    ]
+    if not isinstance(rows, list):
+        raise ValueError(f"expected a JSON list of entries, got {type(rows).__name__}")
+    pool = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"entry {i}: expected a JSON object, got {type(row).__name__}")
+        for key, kind in _POOL_FIELDS.items():
+            if key not in row:
+                raise ValueError(f"entry {i}: missing field {key!r}")
+            if isinstance(row[key], bool) or not isinstance(row[key], kind):
+                raise ValueError(f"entry {i}: field {key!r} has type {type(row[key]).__name__}")
+        mode, flag = row.get("mode"), row.get("legal_moves_flag", True)
+        if not (mode is None or isinstance(mode, str)) or not isinstance(flag, bool):
+            raise ValueError(f"entry {i}: 'mode' must be a string or null, 'legal_moves_flag' a boolean")
+        pool.append(PoolEntry(row["id"], RatingState(row["r"], row["rd"], row["games"]), mode, flag))
+    return pool

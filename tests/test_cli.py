@@ -227,6 +227,84 @@ def test_eval_puzzles_missing_csv(tmp_path, capsys):
     assert code != 0
 
 
+def _one_error_line(capsys, argv) -> str:
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err
+
+
+def _puzzle_csv(edit) -> bytes:
+    header, first = PUZZLES_CSV.read_bytes().splitlines()[:2]
+    return b"\n".join([header] + edit(first.split(b","))) + b"\n"
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (_puzzle_csv(lambda row: [b",".join(row), b"\xff\xfe" + b",".join(row)]), ":3: not UTF-8"),
+        (b"PuzzleId,FEN,Moves\nx,y,z\n", ":1: missing columns"),
+        (_puzzle_csv(lambda row: [b",".join(row[:3] + [b"abc"] + row[4:])]), ":2: Rating 'abc'"),
+        (_puzzle_csv(lambda row: [b",".join(row[:4])]), ":2: row has fewer than 10 fields"),
+    ],
+    ids=["not-utf8", "missing-columns", "bad-rating", "short-row"],
+)
+def test_eval_puzzles_bad_csv_is_a_user_error(tmp_path, capsys, content, expected):
+    path = tmp_path / "puzzles.csv"
+    path.write_bytes(content)
+    err = _one_error_line(capsys, ["eval", "puzzles", "--csv", str(path), "--player", "random"])
+    assert f"{path}{expected}" in err
+
+
+def _item_row(**changes) -> str:
+    from chessarena.core import legal_moves
+    from chessarena.engine import AnalysisTable, MoveEval, Score, table_to_dict, top_moves_of
+
+    board = playout(1, 10)
+    evals = tuple(MoveEval(m, Score("cp", 0), 0.5) for m in legal_moves(board))
+    row = {"fen": board.fen, "history": [], "mode": "blitz", "legal_flag": True,
+           "table": table_to_dict(AnalysisTable(board.fen, 1, evals, top_moves_of(evals)))}
+    row.update(changes)
+    return json.dumps(row)
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        (['{"fen": 3}'], ":1: missing field 'history'"),
+        ([_item_row(), "not json"], ":2: Expecting value"),
+        ([_item_row(fen="8/8/8 w - - 0 1")], ":1: expected 8 ranks"),
+        ([_item_row(fen=playout(2, 10).fen)], ":1: oracle table does not cover"),
+        ([_item_row(history="e2e4")], ":1: fen must be a string"),
+        ([_item_row(), _item_row(history=["e2e4", "e2e5"])], ":2: e2e5: not legal"),
+    ],
+    ids=["no-history", "not-json", "bad-fen", "uncovered-table", "history-not-a-list", "illegal-history"],
+)
+def test_eval_moves_bad_items_are_a_user_error(tmp_path, capsys, lines, expected):
+    path = tmp_path / "items.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    err = _one_error_line(capsys, ["eval", "moves", "--items", str(path), "--player", "random"])
+    assert f"{path}{expected}" in err
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('[{"id": "r1"}]', "entry 0: missing field 'r'"),
+        ("[1, 2]", "entry 0: expected a JSON object, got int"),
+        ('[{"id": "r1", "r": 15', "Expecting"),
+        ('{"id": "r1"}', "expected a JSON list"),
+    ],
+    ids=["missing-field", "not-objects", "truncated", "not-a-list"],
+)
+def test_leaderboard_malformed_pool_is_a_user_error(tmp_path, capsys, text, expected):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "pool.json").write_text(text)
+    err = _one_error_line(capsys, ["leaderboard", "--run-dir", str(run_dir)])
+    assert f"{run_dir / 'pool.json'}: {expected}" in err
+
+
 def test_engine_check(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["engine-check", "--config", str(config)]) == 0

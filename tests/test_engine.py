@@ -1,11 +1,12 @@
+import random
 import sys
 import textwrap
 
 import pytest
 
-import chessarena.engine as engine
-from chessarena.arena import EnginePlayer, GameConfig, RandomPlayer, play_game
-from chessarena.core import START_FEN, BoardState, legal_moves, parse_fen
+import chessarena.core.moves as moves
+from chessarena.arena import EnginePlayer, GameConfig, LlmPlayer, RandomPlayer, play_game
+from chessarena.core import BoardState, legal_moves, parse_fen
 from chessarena.engine import (
     AnalysisCache,
     EngineError,
@@ -19,7 +20,7 @@ from chessarena.engine import (
     top_moves_of,
     win_rate_from_score,
 )
-from chessarena.players import PlayerSpec
+from chessarena.players import ChatResponse, PlayerSpec
 
 from conftest import TOY_ENGINE_CMD, playout
 
@@ -90,7 +91,7 @@ def test_top_moves_stable_across_runs_on_corpus():
 
 
 def test_best_move_finds_mate(toy_handle):
-    assert best_move(toy_handle, MATE_IN_1, {"depth": 4}).uci == "f3f7"
+    assert best_move(toy_handle, parse_fen(MATE_IN_1), {"depth": 4}).uci == "f3f7"
     table = analyze_all_moves(toy_handle, MATE_IN_1, depth=4)
     assert table.q_for("f3f7") == 0.999
     assert table.is_top("f3f7")
@@ -98,17 +99,17 @@ def test_best_move_finds_mate(toy_handle):
 
 def test_best_move_limits(toy_handle):
     legal = {m.uci for m in legal_moves(BoardState.start())}
-    assert best_move(toy_handle, BoardState.start().fen, {"depth": 1}).uci in legal
-    assert best_move(toy_handle, BoardState.start().fen, {"nodes": 1}).uci in legal
-    assert best_move(toy_handle, BoardState.start().fen, {"movetime": 10}).uci in legal
+    assert best_move(toy_handle, BoardState.start(), {"depth": 1}).uci in legal
+    assert best_move(toy_handle, BoardState.start(), {"nodes": 1}).uci in legal
+    assert best_move(toy_handle, BoardState.start(), {"movetime": 10}).uci in legal
     with pytest.raises(ValueError):
-        best_move(toy_handle, BoardState.start().fen, {"elo": 1500})
+        best_move(toy_handle, BoardState.start(), {"elo": 1500})
 
 
 def test_best_move_rejects_terminal(toy_handle):
     mated = "rnb1kbnr/pppp1ppp/8/4p3/6Pq/5P2/PPPPP2P/RNBQKBNR w KQkq - 1 3"
     with pytest.raises(EngineError, match="terminal"):
-        best_move(toy_handle, mated, {"depth": 1})
+        best_move(toy_handle, parse_fen(mated), {"depth": 1})
 
 
 def test_win_rate_mapping_values():
@@ -289,7 +290,7 @@ def test_illegal_bestmove_is_protocol_error(tmp_path):
     handle = start_engine(cmd)
     try:
         with pytest.raises(EngineProtocolError, match="illegal"):
-            best_move(handle, BoardState.start().fen, {"depth": 1})
+            best_move(handle, BoardState.start(), {"depth": 1})
     finally:
         handle.quit()
 
@@ -317,7 +318,7 @@ def test_bestmove_none_is_engine_error(tmp_path):
     handle = start_engine(cmd)
     try:
         with pytest.raises(EngineError, match="no move"):
-            best_move(handle, BoardState.start().fen, {"depth": 1})
+            best_move(handle, BoardState.start(), {"depth": 1})
     finally:
         handle.quit()
 
@@ -356,10 +357,10 @@ def test_timed_out_engine_is_killed_not_reused(tmp_path):
     handle = start_engine(cmd)
     try:
         with pytest.raises(EngineError, match="silent"):
-            best_move(handle, BoardState.start().fen, {"depth": 1}, timeout=0.2)
+            best_move(handle, BoardState.start(), {"depth": 1}, timeout=0.2)
         # A live process would answer this search with the first one's late bestmove.
         with pytest.raises(EngineError, match="engine process is gone"):
-            best_move(handle, BoardState.start().fen, {"depth": 1}, timeout=5.0)
+            best_move(handle, BoardState.start(), {"depth": 1}, timeout=5.0)
     finally:
         handle.quit()
 
@@ -382,15 +383,32 @@ def test_engine_error_carries_the_stderr_tail(tmp_path):
     assert "line 10" not in message  # only the last 20 lines are kept
 
 
-def test_engine_plies_reuse_the_games_legal_list(monkeypatch, toy_handle):
+class LegalListTransport:
+    """Answers every prompt with a seeded draw from the legal moves the
+    prompt lists, so it generates no moves of its own."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def complete(self, messages):
+        line = next(l for l in messages[-1].content.splitlines() if l.startswith("Legal moves"))
+        return ChatResponse(text=f"```{self.rng.choice(line.rstrip('.').split(': ')[1].split())}```")
+
+
+@pytest.mark.parametrize("kind", ["toyfish", "random", "llm"])
+def test_each_position_generates_its_moves_once(monkeypatch, toy_handle, kind):
     calls = []
-    original = engine.legal_moves
-    monkeypatch.setattr(engine, "legal_moves", lambda board: calls.append(board) or original(board))
-    toy = EnginePlayer(PlayerSpec(id="toy", kind="uci_engine", engine_limits={"depth": 2}), toy_handle)
-    record = play_game(toy, RandomPlayer(PlayerSpec(id="rand", kind="random")), GameConfig(ply_cap=40), seed=3)
+    original = moves._raw_legal_moves
+    monkeypatch.setattr(moves, "_raw_legal_moves", lambda state: calls.append(state) or original(state))
+    if kind == "toyfish":
+        white = EnginePlayer(PlayerSpec(id="toy", kind="uci_engine", engine_limits={"depth": 2}), toy_handle)
+    elif kind == "random":
+        white = RandomPlayer(PlayerSpec(id="w", kind="random"))
+    else:
+        spec = PlayerSpec(id="llm", play_mode="blitz", history_format="uci_list")
+        white = LlmPlayer(spec, LegalListTransport(25))
+    record = play_game(white, RandomPlayer(PlayerSpec(id="rand", kind="random")), GameConfig(), seed=25)
     assert not record.aborted and len(record.plies) >= 20
-    assert calls == []  # every engine ply checked the bestmove against the game's list
-    assert best_move(toy_handle, START_FEN, {"depth": 2}) == best_move(
-        toy_handle, START_FEN, {"depth": 2}, legal=legal_moves(BoardState.start())
-    )
-    assert len(calls) == 1  # without a list, best_move generates its own
+    assert all(len(ply.attempts) == 1 for ply in record.plies)
+    # The view, the move check, the repetition key and the status check share one list.
+    assert len(calls) == len(record.plies) + 1

@@ -258,7 +258,7 @@ def test_move_selection_prompts_equal_arena_prompts(mode):
     in_eval = ScriptedTransport([reply])
     assert run_move_selection(spec, items, transport=in_eval)["lr"] == 100.0
     in_arena = ScriptedTransport([reply])
-    view = GameView(board, tuple(moves), legal_moves(board), board.side_to_move, random.Random(0))
+    view = GameView(board, tuple(moves), board.side_to_move, random.Random(0))
     LlmPlayer(replace(spec, play_mode=mode), in_arena).choose(view)
     assert in_eval.calls == in_arena.calls
     assert len(in_eval.calls) == 1
@@ -297,24 +297,21 @@ def test_engine_default_depth_is_the_same_in_arena_and_evals():
 
 
 def test_predict_move_builds_the_legal_list_only_for_players_that_read_it(monkeypatch):
+    import chessarena.core.moves as moves
     import chessarena.evals as evals
 
     calls = []
-
-    def counting_legal_moves(board):
-        calls.append(board)
-        return legal_moves(board)
-
-    monkeypatch.setattr(evals, "legal_moves", counting_legal_moves)
-    board = BoardState.start()
+    original = moves._raw_legal_moves
+    monkeypatch.setattr(moves, "_raw_legal_moves", lambda state: calls.append(state) or original(state))
     engine = PlayerSpec(id="engine", kind="uci_engine", engine_command="unused")
-    attempt = evals.predict_move(engine, board, (), handle=RecordingHandle("e2e4"))
+    attempt = evals.predict_move(engine, BoardState.start(), (), handle=RecordingHandle("e2e4"))
     assert attempt.move == MoveToken.from_uci("e2e4")
-    assert len(calls) == 0
+    assert len(calls) == 1  # best_move checks the engine's answer against the position's list
+    board = BoardState.start()
     random_spec = PlayerSpec(id="random", kind="random")
     attempt = evals.predict_move(random_spec, board, (), rng=random.Random(0))
     assert attempt.move in legal_moves(board)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_move_selection_prediction_matching_awr_contributes_zero():

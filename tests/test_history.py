@@ -1,7 +1,7 @@
-"""The SAN history the game loop keeps for PGN prompts, and the legal list it
-hands to move extraction, checked against replays of the moves alone."""
+"""The SAN history the game loop keeps for PGN prompts, and the legal list move
+extraction shares with the game loop, checked against replays of the moves
+alone."""
 
-import json
 import random
 import re
 from collections import Counter
@@ -20,8 +20,6 @@ from chessarena.players import (
     extract_move,
     san_history,
 )
-
-from conftest import GOLDEN_DIR, playout
 
 _FEN_RE = re.compile(r"The current FEN: (.*)")
 
@@ -123,7 +121,7 @@ def test_game_makes_at_most_one_san_per_ply_and_prompts_replay_nothing(monkeypat
         monkeypatch.setattr(module, name, counted)
 
     count(arena, "move_to_san")
-    for name in ("move_to_san", "apply_move", "legal_moves", "parse_move"):
+    for name in ("move_to_san", "apply_move", "parse_move"):
         count(players, name)
     spec = PlayerSpec(id="llm", play_mode="standard", history_format=history_format)
     record = play_game(
@@ -135,29 +133,9 @@ def test_game_makes_at_most_one_san_per_ply_and_prompts_replay_nothing(monkeypat
         assert 0 < counts["move_to_san"] <= len(record.plies)
     else:
         assert counts["move_to_san"] == 0
-    # No replay while prompts are built, and extraction checks the game's own list.
-    assert counts["apply_move"] == counts["legal_moves"] == 0
+    # No replay while prompts are built.
+    assert counts["apply_move"] == 0
     assert counts["parse_move"] == 30  # one per model reply
-
-
-def test_extract_move_with_the_legal_list_matches_without():
-    corpus = json.loads((GOLDEN_DIR / "bullet_corpus.json").read_text())
-    replies = [case["response"] for case in corpus] + [
-        "Plan: ```d2d4``` then <answer>```\ne2e4\n```</answer>",
-        "I pick ```d2d4``` for the center. Also e7e5 someday.",
-        "thinking g1f3 then e2e4",
-        "no move here at all",
-        "", "```", "<answer>```x", "\x00\x01", "Nf3", "O-O", "exd5", "a1a8", "e7e8q",
-    ]
-    boards = [BoardState.start(), playout(3, 21), playout(25, 40)]
-    for board in boards:
-        legal = legal_moves(board)
-        own = [f"<answer>```\n{mv.uci}\n```</answer>" for mv in legal[:5]]
-        for raw in replies + own:
-            for mode in PLAY_MODES[:3]:
-                for reasoning in (None, "hidden analysis"):
-                    expected = extract_move(raw, mode, board, reasoning=reasoning)
-                    assert extract_move(raw, mode, board, reasoning=reasoning, legal=legal) == expected
 
 
 def test_san_extraction_uses_the_legal_list_it_is_handed(monkeypatch):
@@ -170,18 +148,14 @@ def test_san_extraction_uses_the_legal_list_it_is_handed(monkeypatch):
         (parse_fen("r3k2r/pppppppp/8/8/8/8/PPPPPPPP/R3K2R w KQkq - 0 1"), ["O-O", "O-O-O", "0-0"]),
         (parse_fen("k7/8/8/8/8/8/1K6/R6R w - - 0 1"), ["Rad1", "Rhd1", "Rd1", "R1d1"]),
     ]
-    jobs = [
-        (board, legal_moves(board), f"```{san}```", mode)
-        for board, sans in cases for san in sans for mode in PLAY_MODES[:3]
-    ]
-    expected = [extract_move(raw, mode, board) for board, _legal, raw, mode in jobs]
+    jobs = [(board, f"```{san}```", mode) for board, sans in cases for san in sans for mode in PLAY_MODES[:3]]
+    expected = [extract_move(raw, mode, parse_fen(board.fen)) for board, raw, mode in jobs]
     assert {a.outcome for a in expected} == {"ok", "illegal_move", "parsing_error"}
-    counts = Counter()
-    for module, name in ((moves, "legal_moves"), (moves, "_raw_legal_moves"), (players, "legal_moves")):
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, _name=name, _original=original: counts.update([_name]) or _original(*a)
-        )
-    got = [extract_move(raw, mode, board, legal=legal) for board, legal, raw, mode in jobs]
+    for board, _sans in cases:
+        legal_moves(board)  # as the game loop's status check does before the player moves
+    calls = []
+    original = moves._raw_legal_moves
+    monkeypatch.setattr(moves, "_raw_legal_moves", lambda state: calls.append(state) or original(state))
+    got = [extract_move(raw, mode, board) for board, raw, mode in jobs]
     assert got == expected
-    assert not counts
+    assert not calls

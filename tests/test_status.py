@@ -151,8 +151,8 @@ def test_termination_invariants():
 
 
 # ---------------------------------------------------------------------------
-# A legal-move list passed in must change nothing: differential checks over
-# positions from seeded random play, against the kernel and the oracle.
+# Each position keeps one legal-move list: differential checks over positions
+# from seeded random play, against a fresh parse and the oracle.
 
 
 def positions_with_history(seed: int, plies: int):
@@ -187,18 +187,21 @@ def oracle_has_ep_capture(board) -> bool:
 def test_shared_legal_list_changes_nothing(seed, plies):
     for board, history in positions_with_history(seed, plies):
         legal = legal_moves(board)
-        assert game_status(board, history, 80, legal=legal) == game_status(board, history, 80)
-        key = repetition_key(board, legal)
-        assert key == repetition_key(board)
+        assert legal_moves(board) is legal
+        fresh = parse_fen(board.fen)
+        assert legal_moves(fresh) == legal
+        assert game_status(board, history, 80) == game_status(parse_fen(board.fen), history, 80)
+        key = repetition_key(board)
+        assert key == repetition_key(parse_fen(board.fen))
         assert (key[3] is not None) == oracle_has_ep_capture(board)
         for move in legal:
-            assert apply_move(board, move, legal) == apply_move(board, move)
+            assert apply_move(board, move) == apply_move(fresh, move)
         own = [sq for sq, code in enumerate(board.board) if code * board.turn > 0]
         illegal = next(
             MoveToken(frm, to) for frm in own for to in range(64) if to != frm and (frm, to, None) not in legal
         )
         with pytest.raises(IllegalMoveError):
-            apply_move(board, illegal, legal)
+            apply_move(board, illegal)
 
 
 def check_score_moves_against_oracle(board) -> None:
