@@ -14,13 +14,13 @@ from chessarena.arena import (
     GameConfig,
     PlayerRegistry,
     RunDir,
-    annotate_record,
+    annotate_games,
     compute_leaderboard,
     compute_secondary_metrics,
     render_leaderboard,
     run_tournament,
 )
-from chessarena.engine import AnalysisCache, start_engine
+from chessarena.engine import start_engine
 from chessarena.players import PlayerSpec
 from chessarena.rating import PoolEntry, RatingConfig, RatingState
 
@@ -59,15 +59,9 @@ def main():
             run_dir=run_dir,
         )
 
-    records = [run_dir.read_game(gid) for gid in run_dir.game_ids()]
-    handle = start_engine(TOY_CMD, options={"Threads": 1})
-    cache = AnalysisCache(run_dir.root / "analysis")
-    try:
-        for record in records:
-            annotate_record(record, handle, depth=args.annotate_depth, cache=cache)
-            run_dir.write_game(record)
-    finally:
-        handle.quit()
+    records = [r for r in map(run_dir.read_game, run_dir.game_ids()) if r is not None]
+    with start_engine(TOY_CMD, options={"Threads": 1}) as handle:
+        annotate_games(records, handle, args.annotate_depth, run_dir)
 
     print(render_leaderboard(compute_leaderboard(pool)))
     print("| Player | W | L | D | Legal Mv% | Top Mv% |")

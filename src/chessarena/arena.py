@@ -19,6 +19,7 @@ from pathlib import Path
 from .core import (
     BLACK,
     BoardState,
+    ChessError,
     FORFEIT,
     MoveToken,
     PositionHistory,
@@ -375,32 +376,100 @@ def annotate_record(record: GameRecord, handle, depth: int, cache: AnalysisCache
         ply.in_top3 = table.is_top(ply.move)
 
 
+def annotate_games(records, handle, depth: int, run_dir: RunDir) -> None:
+    """Annotate each record, through the run's analysis cache, and rewrite its file."""
+    cache = AnalysisCache(run_dir.root / "analysis")
+    for record in records:
+        annotate_record(record, handle, depth, cache)
+        run_dir.write_game(record)
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 
 
-def _attempt_to_dict(a: MoveAttempt) -> dict:
-    return {
-        "raw_response": a.raw_response,
-        "outcome": a.outcome,
-        "move": a.move.uci if a.move else None,
-        "attempt_index": a.attempt_index,
-        "token_usage": a.token_usage,
-        "reasoning": a.reasoning,
-        "error": a.error,
-    }
+class GameFileError(ValueError):
+    """A finished game file with a row that does not decode."""
 
 
-def _attempt_from_dict(d: dict) -> MoveAttempt:
-    return MoveAttempt(
-        raw_response=d["raw_response"],
-        outcome=d["outcome"],
-        move=MoveToken.from_uci(d["move"]) if d.get("move") else None,
-        attempt_index=d.get("attempt_index", 1),
-        token_usage=d.get("token_usage"),
-        reasoning=d.get("reasoning"),
-        error=d.get("error"),
+def encode_game(record: GameRecord) -> str:
+    """The game file's text: a header row, one row per ply, a footer row."""
+    rows = [
+        {
+            "type": "header",
+            "game_id": record.game_id,
+            "white": record.white_id,
+            "black": record.black_id,
+            "seed": record.seed,
+            "started_at": record.started_at,
+        }
+    ]
+    for ply in record.plies:
+        attempts = [{**vars(a), "move": a.move.uci if a.move else None} for a in ply.attempts]
+        rows.append({"type": "ply", **vars(ply), "attempts": attempts})
+    rows.append(
+        {
+            "type": "footer",
+            "termination": record.termination.reason if record.termination else None,
+            "winner": record.termination.winner if record.termination else None,
+            "result_white": record.result_white,
+            "finished_at": record.finished_at,
+            "aborted": record.aborted,
+            "error": record.error,
+        }
     )
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def _row(line, kind: str) -> dict:
+    row = json.loads(line)
+    if not isinstance(row, dict) or row.pop("type", None) != kind:
+        raise ValueError(f"not a {kind} row")
+    return row
+
+
+def _attempt(row) -> MoveAttempt:
+    if row["move"] is not None:
+        row["move"] = MoveToken.from_uci(row["move"])
+    return MoveAttempt(**row)
+
+
+def decode_game(lines, where) -> GameRecord | None:
+    """The game `encode_game` wrote as `lines` (text, or bytes when the file
+    is not UTF-8). None when the last line is not a footer row (missing, torn
+    or not UTF-8): the game is unfinished. Any other row that does not decode
+    raises GameFileError naming `where` and the line."""
+    try:
+        footer = _row(lines[-1], "footer")
+    except (IndexError, ValueError):
+        return None
+    number = 1
+    try:
+        header = _row(lines[0], "header")
+        started = {
+            "game_id": header["game_id"],
+            "white_id": header["white"],
+            "black_id": header["black"],
+            "seed": header["seed"],
+            "started_at": header["started_at"],
+        }
+        plies = []
+        for number, line in enumerate(lines[1:-1], 2):
+            row = _row(line, "ply")
+            attempts = tuple(map(_attempt, row.pop("attempts")))
+            plies.append(PlyRecord(attempts=attempts, **row))
+        number = len(lines)
+        return GameRecord(
+            plies=plies,
+            termination=Termination(footer["termination"], footer["winner"]) if footer["termination"] else None,
+            result_white=footer["result_white"],
+            finished_at=footer["finished_at"],
+            aborted=footer["aborted"],
+            error=footer["error"],
+            **started,
+        )
+    except (KeyError, TypeError, ValueError, ChessError) as exc:
+        raise GameFileError(f"{where}:{number}: {type(exc).__name__}: {exc}") from None
 
 
 class RunDir:
@@ -415,85 +484,25 @@ class RunDir:
         return self.games / f"{game_id}.jsonl"
 
     def has_game(self, game_id: str) -> bool:
-        try:
-            lines = self.game_path(game_id).read_text().strip().splitlines()
-            return bool(lines) and json.loads(lines[-1]).get("type") == "footer"
-        except (FileNotFoundError, ValueError):  # missing, or torn mid-row
-            return False
+        return self.read_game(game_id) is not None
 
     def write_game(self, record: GameRecord) -> Path:
-        rows = [
-            {
-                "type": "header",
-                "game_id": record.game_id,
-                "white": record.white_id,
-                "black": record.black_id,
-                "seed": record.seed,
-                "started_at": record.started_at,
-            }
-        ]
-        for ply in record.plies:
-            rows.append(
-                {
-                    "type": "ply",
-                    "ply": ply.ply,
-                    "fen_before": ply.fen_before,
-                    "color": ply.color,
-                    "prompt_digest": ply.prompt_digest,
-                    "attempts": [_attempt_to_dict(a) for a in ply.attempts],
-                    "move": ply.move,
-                    "q": ply.q,
-                    "in_top3": ply.in_top3,
-                }
-            )
-        rows.append(
-            {
-                "type": "footer",
-                "termination": record.termination.reason if record.termination else None,
-                "winner": record.termination.winner if record.termination else None,
-                "result_white": record.result_white,
-                "finished_at": record.finished_at,
-                "aborted": record.aborted,
-                "error": record.error,
-            }
-        )
         path = self.game_path(record.game_id)
-        write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        write_atomic(path, encode_game(record))
         return path
 
-    def read_game(self, game_id: str) -> GameRecord:
-        rows = [json.loads(line) for line in self.game_path(game_id).read_text().splitlines()]
-        header = rows[0]
-        footer = rows[-1]
-        plies = [
-            PlyRecord(
-                ply=r["ply"],
-                fen_before=r["fen_before"],
-                color=r["color"],
-                attempts=tuple(_attempt_from_dict(a) for a in r["attempts"]),
-                move=r["move"],
-                prompt_digest=r.get("prompt_digest"),
-                q=r.get("q"),
-                in_top3=r.get("in_top3"),
-            )
-            for r in rows[1:-1]
-        ]
-        termination = None
-        if footer["termination"]:
-            termination = Termination(footer["termination"], footer.get("winner"))
-        return GameRecord(
-            game_id=header["game_id"],
-            white_id=header["white"],
-            black_id=header["black"],
-            seed=header["seed"],
-            plies=plies,
-            termination=termination,
-            result_white=footer["result_white"],
-            started_at=header["started_at"],
-            finished_at=footer["finished_at"],
-            aborted=footer.get("aborted", False),
-            error=footer.get("error"),
-        )
+    def read_game(self, game_id: str) -> GameRecord | None:
+        """The finished game `game_id`, or None when its file is missing or unfinished."""
+        path = self.game_path(game_id)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        try:
+            lines = data.decode().splitlines()
+        except UnicodeDecodeError:  # decode row by row, so only the bad row fails
+            lines = data.splitlines()
+        return decode_game(lines, path)
 
     def game_ids(self) -> list:
         return sorted(p.stem for p in self.games.glob("*.jsonl"))
@@ -565,9 +574,8 @@ def run_match(
         white_id, black_id = (req.a_id, req.b_id) if index % 2 == 0 else (req.b_id, req.a_id)
         game_seed = derive_seed(seed, f"game:{index}")
         gid = game_id_for(white_id, black_id, game_seed, index)
-        if run_dir is not None and run_dir.has_game(gid):
-            record = run_dir.read_game(gid)
-        else:
+        record = run_dir.read_game(gid) if run_dir is not None else None
+        if record is None:
             record = play_game(
                 registry.player(white_id), registry.player(black_id), cfg, game_seed, game_id=gid
             )

@@ -9,6 +9,7 @@ overrides; secrets only ever come from environment variables. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import arena, evals
 from .core import BoardState
-from .engine import AnalysisCache, EngineError, analyze_all_moves, start_engine
+from .engine import EngineError, analyze_all_moves, start_engine
 from .players import LLM_API, HttpChatTransport, PlayerSpec, RANDOM, TransportError, UCI_ENGINE
 from .rating import PoolEntry, RatingConfig, RatingState
 
@@ -129,22 +130,15 @@ def build_pool(cfg: RunConfig) -> list:
     ]
 
 
-def _annotation_handle(cfg: RunConfig):
+def _oracle(cfg: RunConfig, annotate: bool):
+    """The engine that annotates games, as a context manager; started before
+    the first game so a bad engine.path fails fast. A null context (None)
+    without --annotate."""
+    if not annotate:
+        return contextlib.nullcontext()
     if not cfg.engine.path:
         raise UserError("annotation requires engine.path in the config")
     return start_engine(cfg.engine.path, cfg.engine.options)
-
-
-def _annotate_all(records, cfg: RunConfig, run_dir: arena.RunDir | None):
-    handle = _annotation_handle(cfg)
-    cache = AnalysisCache(run_dir.root / "analysis") if run_dir else None
-    try:
-        for record in records:
-            arena.annotate_record(record, handle, cfg.engine.depth, cache)
-            if run_dir is not None:
-                run_dir.write_game(record)
-    finally:
-        handle.quit()
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +157,23 @@ def cmd_tournament(args) -> int:
             raise UserError("--startup must be 'random' or 'specified:<player id>'")
         startup_id = args.startup.split(":", 1)[1]
         cfg.spec(startup_id)
-    if args.annotate:
-        _annotation_handle(cfg).quit()  # fail fast before any game
     seed = cfg.seed if args.seed is None else args.seed
-    with arena.PlayerRegistry(cfg.players) as registry:
-        pool = arena.run_tournament(
-            pool,
-            rounds=args.rounds,
-            registry=registry,
-            cfg=cfg.game_config,
-            games_per_match=args.games_per_match,
-            startup_id=startup_id,
-            seed=seed,
-            run_dir=run_dir,
-            stop_rd=args.stop_rd,
-        )
-    if args.annotate:
-        records = [run_dir.read_game(gid) for gid in run_dir.game_ids()]
-        _annotate_all(records, cfg, run_dir)
+    with _oracle(cfg, args.annotate) as oracle:
+        with arena.PlayerRegistry(cfg.players) as registry:
+            pool = arena.run_tournament(
+                pool,
+                rounds=args.rounds,
+                registry=registry,
+                cfg=cfg.game_config,
+                games_per_match=args.games_per_match,
+                startup_id=startup_id,
+                seed=seed,
+                run_dir=run_dir,
+                stop_rd=args.stop_rd,
+            )
+        if oracle is not None:
+            records = [r for r in map(run_dir.read_game, run_dir.game_ids()) if r is not None]
+            arena.annotate_games(records, oracle, cfg.engine.depth, run_dir)
     entries = arena.compute_leaderboard(pool, cfg.rating)
     run_dir.write_leaderboard(entries)
     print(arena.render_leaderboard(entries))
@@ -195,14 +188,13 @@ def cmd_match(args) -> int:
     run_dir = arena.RunDir(resolve_run_dir(args.run_dir, cfg))
     cfg.spec(args.white), cfg.spec(args.black)
     pool = build_pool(cfg)
-    if args.annotate:
-        _annotation_handle(cfg).quit()
     seed = cfg.seed if args.seed is None else args.seed
     req = arena.MatchRequest(args.white, args.black, args.n)
-    with arena.PlayerRegistry(cfg.players) as registry:
-        records = arena.run_match(req, pool, cfg.game_config, registry, run_dir=run_dir, seed=seed)
-    if args.annotate:
-        _annotate_all(records, cfg, run_dir)
+    with _oracle(cfg, args.annotate) as oracle:
+        with arena.PlayerRegistry(cfg.players) as registry:
+            records = arena.run_match(req, pool, cfg.game_config, registry, run_dir=run_dir, seed=seed)
+        if oracle is not None:
+            arena.annotate_games(records, oracle, cfg.engine.depth, run_dir)
     run_dir.write_pool(pool)
     for record in records:
         _print_game_line(record, run_dir)
@@ -213,16 +205,16 @@ def cmd_game(args) -> int:
     cfg = load_config(args.config)
     run_dir = arena.RunDir(resolve_run_dir(args.run_dir, cfg))
     cfg.spec(args.white), cfg.spec(args.black)
-    if args.annotate:
-        _annotation_handle(cfg).quit()
     seed = cfg.seed if args.seed is None else args.seed
-    with arena.PlayerRegistry(cfg.players) as registry:
-        record = arena.play_game(
-            registry.player(args.white), registry.player(args.black), cfg.game_config, seed
-        )
-    if args.annotate:
-        _annotate_all([record], cfg, run_dir)
-    run_dir.write_game(record)
+    with _oracle(cfg, args.annotate) as oracle:
+        with arena.PlayerRegistry(cfg.players) as registry:
+            record = arena.play_game(
+                registry.player(args.white), registry.player(args.black), cfg.game_config, seed
+            )
+        if oracle is not None:
+            arena.annotate_games([record], oracle, cfg.engine.depth, run_dir)
+        else:
+            run_dir.write_game(record)
     _print_game_line(record, run_dir)
     return 0
 
@@ -253,11 +245,10 @@ def _require_file(path, what: str) -> Path:
 
 def cmd_eval_basic(args) -> int:
     if args.fens:
-        fens = [
-            line.strip()
-            for line in _require_file(args.fens, "FEN file").read_text().splitlines()
-            if line.strip()
-        ]
+        try:
+            fens = evals.load_fens(_require_file(args.fens, "FEN file"))
+        except ValueError as exc:
+            raise UserError(str(exc)) from None
         if not fens:
             raise UserError(f"no FENs in {args.fens}")
     else:
@@ -506,7 +497,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UserError as exc:
+    except (UserError, arena.GameFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EngineError, TransportError) as exc:

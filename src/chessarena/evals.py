@@ -22,11 +22,13 @@ from .arena import GameView, make_player
 from .core import (
     BoardState,
     ChessError,
+    IllegalMoveError,
     MoveToken,
     apply_move,
     legal_moves,
     legal_moves_for_square,
     parse_fen,
+    parse_move,
 )
 from .engine import AnalysisTable, table_from_dict, table_to_dict
 from .players import (
@@ -421,19 +423,45 @@ def _move_item(row) -> MoveSelectionItem:
         raise TypeError("fen must be a string and history a list of strings")
     if mode not in PLAY_MODES or not isinstance(legal_flag, bool):
         raise TypeError(f"mode must be one of {PLAY_MODES} and legal_flag a boolean")
-    san_history(history)  # the moves must replay from the initial position
+    board = BoardState.start()
+    for text in history:  # the moves must replay from the initial position
+        move = parse_move(text, board)
+        if move not in legal_moves(board):
+            raise IllegalMoveError(f"{move.uci}: not legal in this position")
+        board = apply_move(board, move)
+    if history and board.fen != fen:  # an empty history may stand for any game
+        raise ValueError(f"history leads to {board.fen}, not to the item's fen")
     table = table_from_dict(row["table"])
     if not all(isinstance(ev.win_rate, (int, float)) for ev in table.evals):
         raise TypeError("every q in the table must be a number")
     return MoveSelectionItem(fen, tuple(history), mode, legal_flag, table)
 
 
+def load_fens(path) -> list:
+    """The FENs of a file with one per line, blank lines skipped. A line that
+    is not UTF-8 or not a FEN raises ValueError naming the file and the line."""
+    path = Path(path)
+    fens = []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(_utf8_lines(fh, path), 1):
+            fen = line.strip()
+            if not fen:
+                continue
+            try:
+                parse_fen(fen)
+            except (ValueError, ChessError) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            fens.append(fen)
+    return fens
+
+
 def load_move_items(path) -> list:
     """Read the items `save_move_items` wrote, one JSON object per line.
 
     A line that is not UTF-8 or not JSON, a missing or mistyped field, a
-    history that does not replay, a bad FEN, or a table that does not cover
-    the legal moves raises ValueError naming the file and the line.
+    history that does not replay or does not reach the item's FEN, a bad
+    FEN, or a table that does not cover the legal moves raises ValueError
+    naming the file and the line.
     """
     path = Path(path)
     items = []

@@ -67,7 +67,6 @@ class PoolEntry:
     rating: RatingState
     mode: str | None = None
     legal_moves: bool = True
-    available: bool = True
 
 
 def g(rd: float, q: float = Q) -> float:
@@ -119,10 +118,10 @@ def pairing_score(a: RatingState, b: RatingState, q: float = Q) -> float:
 
 
 def sample_opponent(pool: list, requester: PoolEntry) -> PoolEntry:
-    """Best-scoring available opponent; ties broken by lower rd, then id."""
-    candidates = [p for p in pool if p.available and p.id != requester.id]
+    """Best-scoring opponent; ties broken by lower rd, then id."""
+    candidates = [p for p in pool if p.id != requester.id]
     if not candidates:
-        raise LookupError("no available opponent in the pool")
+        raise LookupError("no opponent in the pool")
     return min(
         candidates,
         key=lambda p: (-pairing_score(requester.rating, p.rating), p.rating.rd, p.id),

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from chessarena import cli
 from chessarena.cli import UserError, load_config, main
+from chessarena.engine import start_engine
 from chessarena.evals import MoveSelectionItem, save_move_items
 
 from conftest import PUZZLES_CSV, playout
@@ -277,8 +279,10 @@ def _item_row(**changes) -> str:
         ([_item_row(fen=playout(2, 10).fen)], ":1: oracle table does not cover"),
         ([_item_row(history="e2e4")], ":1: fen must be a string"),
         ([_item_row(), _item_row(history=["e2e4", "e2e5"])], ":2: e2e5: not legal"),
+        ([_item_row(history=["e2e4"])], ":1: history leads to"),
     ],
-    ids=["no-history", "not-json", "bad-fen", "uncovered-table", "history-not-a-list", "illegal-history"],
+    ids=["no-history", "not-json", "bad-fen", "uncovered-table", "history-not-a-list", "illegal-history",
+         "history-misses-fen"],
 )
 def test_eval_moves_bad_items_are_a_user_error(tmp_path, capsys, lines, expected):
     path = tmp_path / "items.jsonl"
@@ -364,3 +368,76 @@ def test_tournament_rerun_is_idempotent(tmp_path):
     assert sorted(p.name for p in (run_dir / "games").glob("*.jsonl")) == games1
     # finished games were loaded, not replayed
     assert stamps == {p.name: p.stat().st_mtime_ns for p in (run_dir / "games").glob("*.jsonl")}
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (b"8/8/8/8/8/8/8/K6k w - - 0 1\n\nnot a fen\n", ":3: expected 6 space-delimited fields"),
+        (b"8/8/8/8/8/8/8/K6k w - - 0 1\n\xff\n", ":2: not UTF-8"),
+    ],
+    ids=["not-a-fen", "not-utf8"],
+)
+def test_eval_basic_bad_fen_file_is_a_user_error(tmp_path, capsys, content, expected):
+    path = tmp_path / "fens.txt"
+    path.write_bytes(content)
+    err = _one_error_line(capsys, ["eval", "basic", "--fens", str(path), "--out", str(tmp_path / "out.jsonl")])
+    assert f"{path}{expected}" in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tournament", "--rounds", "1"],
+        ["match", "--white", "rand-0", "--black", "rand-1"],
+        ["game", "--white", "rand-0", "--black", "rand-1"],
+    ],
+    ids=["tournament", "match", "game"],
+)
+def test_annotated_commands_start_the_oracle_once(tmp_path, monkeypatch, argv):
+    starts = []
+
+    def counting_start(*args, **kwargs):
+        starts.append(args)
+        return start_engine(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "start_engine", counting_start)
+    config = write_config(tmp_path, run_dir=tmp_path / "run", n_random=2,
+                          extra={"ply_cap": 12, "engine": {"path": TOY_CMD, "depth": 1}})
+    assert main(argv + ["--config", str(config), "--annotate"]) == 0
+    assert len(starts) == 1
+    plies = [json.loads(line) for path in (tmp_path / "run" / "games").glob("*.jsonl")
+             for line in path.read_text().splitlines()[1:-1]]
+    assert plies and all(p["q"] is not None for p in plies if p["move"])
+
+
+def test_tournament_annotation_skips_an_unfinished_game_file(tmp_path):
+    run_dir = tmp_path / "run"
+    (run_dir / "games").mkdir(parents=True)
+    torn = run_dir / "games" / "deadbeef.jsonl"
+    torn.write_text('{"type": "header", "game_id": "dead')
+    config = write_config(tmp_path, run_dir=run_dir, n_random=2,
+                          extra={"ply_cap": 12, "engine": {"path": TOY_CMD, "depth": 1}})
+    assert main(["tournament", "--config", str(config), "--rounds", "1", "--annotate"]) == 0
+    assert torn.read_text() == '{"type": "header", "game_id": "dead'
+
+
+def test_tournament_rerun_stops_on_a_garbled_game_row(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, extra={"ply_cap": 20})
+    args = ["tournament", "--config", str(config), "--rounds", "3", "--seed", "4"]
+    assert main(args) == 0
+    first_game = json.loads((run_dir / "rounds.jsonl").read_text().splitlines()[0])["games"][0]
+    game_file = run_dir / "games" / f"{first_game}.jsonl"
+    lines = game_file.read_text().splitlines()
+    lines[2] = lines[2].replace('"ply": ', '"plyy": ')
+    game_file.write_text("\n".join(lines) + "\n")
+    files = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run_dir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    err = _one_error_line(capsys, args)
+    assert err.startswith(f"error: {game_file}:3: ")
+    # The rounds log is reset when a tournament starts; every other file stays as it was.
+    del files[run_dir / "rounds.jsonl"]
+    assert files == {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run_dir.rglob("*")
+                     if p.is_file() and p.name != "rounds.jsonl"}

@@ -347,8 +347,8 @@ def test_move_selection_blindfold_uses_conversation():
 def test_move_items_round_trip(tmp_path):
     rng = random.Random(11)
     items = [
-        MoveSelectionItem(playout(s, 10).fen, ("e2e4",), "blitz", True, synthetic_table(playout(s, 10).fen, rng))
-        for s in range(3)
+        MoveSelectionItem(board.fen, tuple(m.uci for m in moves), "blitz", True, synthetic_table(board.fen, rng))
+        for board, moves in map(playout_with_moves, range(3), [10] * 3)
     ]
     path = tmp_path / "items.jsonl"
     save_move_items(items, path)

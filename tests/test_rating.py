@@ -149,8 +149,8 @@ def test_pairing_score_peaks_at_equal_ratings():
         assert pairing_score(a, RatingState(1500 - shift, 80)) < best
 
 
-def entry(pid, r, rd, available=True):
-    return PoolEntry(id=pid, rating=RatingState(r, rd), available=available)
+def entry(pid, r, rd):
+    return PoolEntry(id=pid, rating=RatingState(r, rd))
 
 
 def test_sample_opponent_prefers_equal_rating():
@@ -171,8 +171,6 @@ def test_sample_opponent_single_candidate_and_errors():
     assert sample_opponent([req, only], req) is only
     with pytest.raises(LookupError):
         sample_opponent([req], req)
-    with pytest.raises(LookupError):
-        sample_opponent([req, entry("a", 1500, 50, available=False)], req)
 
 
 def test_sample_opponent_tiebreak_rd_then_id():
