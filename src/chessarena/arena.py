@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import threading
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -564,24 +565,68 @@ def run_match(
     run_dir: RunDir | None = None,
     seed: int = 0,
 ) -> list:
-    """Play an even number of games with alternating colors, updating both
-    players' ratings from pre-game snapshots after every finished game."""
+    """Play an even number of games with alternating colors, then update both
+    players' ratings from pre-game snapshots, game by game in index order.
+
+    Finished games are read back from `run_dir` instead of played. When a
+    model player meets a non-engine player, the unfinished games play at
+    once, one thread per game, so their transport waits overlap; other
+    matches play in order on the calling thread. An exception other than a
+    game's own engine or transport failure is raised, lowest game index
+    first, once every game has ended.
+    """
     entries = {p.id: p for p in pool}
     if req.a_id not in entries or req.b_id not in entries:
         raise KeyError("both match players must be in the pool")
-    records = []
+    games = []
     for index in range(req.n_games):
         white_id, black_id = (req.a_id, req.b_id) if index % 2 == 0 else (req.b_id, req.a_id)
         game_seed = derive_seed(seed, f"game:{index}")
-        gid = game_id_for(white_id, black_id, game_seed, index)
-        record = run_dir.read_game(gid) if run_dir is not None else None
-        if record is None:
-            record = play_game(
-                registry.player(white_id), registry.player(black_id), cfg, game_seed, game_id=gid
+        games.append((game_id_for(white_id, black_id, game_seed, index), white_id, black_id, game_seed))
+    records = [run_dir.read_game(game[0]) if run_dir is not None else None for game in games]
+    for game, record in zip(games, records):
+        if record is not None and (record.game_id, record.white_id, record.black_id, record.seed) != game:
+            gid, white_id, black_id, game_seed = game
+            raise GameFileError(
+                f"{run_dir.game_path(gid)}: header is game {record.game_id}, {record.white_id} vs "
+                f"{record.black_id}, seed {record.seed}; expected game {gid}, {white_id} vs "
+                f"{black_id}, seed {game_seed}"
             )
-            if run_dir is not None:
-                run_dir.write_game(record)
-        records.append(record)
+    missing = [index for index, record in enumerate(records) if record is None]
+    if missing:
+        players = {pid: registry.player(pid) for pid in (req.a_id, req.b_id)}
+        errors = {}
+
+        def play(index):
+            gid, white_id, black_id, game_seed = games[index]
+            try:
+                record = play_game(players[white_id], players[black_id], cfg, game_seed, game_id=gid)
+                if run_dir is not None:
+                    run_dir.write_game(record)
+            except BaseException as exc:  # raised again below, on the calling thread
+                errors[index] = exc
+            else:
+                records[index] = record
+
+        # An engine handle serves one search at a time, and games without a
+        # model player have no wait to overlap.
+        kinds = {registry.specs[req.a_id].kind, registry.specs[req.b_id].kind}
+        if LLM_API in kinds and UCI_ENGINE not in kinds and len(missing) > 1:
+            # Daemon threads, joined one by one: an interrupt on the calling
+            # thread returns at once instead of waiting for every game.
+            threads = [threading.Thread(target=play, args=(index,), daemon=True) for index in missing]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        else:
+            for index in missing:
+                play(index)
+                if errors:
+                    break
+        if errors:
+            raise errors[min(errors)]
+    for record in records:
         if record.aborted:
             continue
         white_entry, black_entry = entries[record.white_id], entries[record.black_id]
@@ -616,8 +661,7 @@ def run_tournament(
     if len(pool) < 2:
         raise ValueError("a tournament needs at least 2 players")
     rng = random.Random(seed)
-    if run_dir is not None:
-        run_dir.reset_rounds()
+    logged = False
     for round_idx in range(rounds):
         candidates = pool
         if stop_rd is not None:
@@ -631,6 +675,10 @@ def run_tournament(
         match_seed = derive_seed(seed, f"round:{round_idx}:{initiator.id}:{opponent.id}")
         records = run_match(req, pool, cfg, registry, run_dir=run_dir, seed=match_seed)
         if run_dir is not None:
+            # The previous run's log stands until this run has a round to log.
+            if not logged:
+                run_dir.reset_rounds()
+                logged = True
             run_dir.append_round(
                 {
                     "round": round_idx,
@@ -642,6 +690,8 @@ def run_tournament(
             )
             run_dir.write_pool(pool)
     if run_dir is not None:
+        if not logged:
+            run_dir.reset_rounds()
         run_dir.write_pool(pool)
         run_dir.write_leaderboard(compute_leaderboard(pool, cfg.rating))
     return pool

@@ -1,10 +1,16 @@
+import dataclasses
+import hashlib
 import json
 import math
+import signal
 import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
+import chessarena.arena as arena
 from chessarena.arena import (
     GameConfig,
     LeaderboardEntry,
@@ -20,12 +26,13 @@ from chessarena.arena import (
     render_leaderboard,
     run_match,
     run_tournament,
+    update_pair,
     verify_replay,
 )
 from chessarena.core import FORFEIT, FIVEFOLD_REPETITION
-from chessarena.engine import analyze_all_moves
-from chessarena.players import PlayerSpec
-from chessarena.rating import PoolEntry, RatingConfig, RatingState
+from chessarena.engine import analyze_all_moves, best_move
+from chessarena.players import ChatResponse, PlayerSpec
+from chessarena.rating import MatchOutcome, PoolEntry, RatingConfig, RatingState
 
 from conftest import TOY_ENGINE_CMD, LoopingTransport, ScriptedTransport
 from oracle_glicko import ref_update
@@ -455,3 +462,217 @@ def test_run_tournament_stop_rd_halts_reliable_players(tmp_path):
     rounds = (run_dir.root / "rounds.jsonl").read_text().splitlines()
     assert len(rounds) < 200  # stopped once every rd crossed the threshold
     assert all(p.rating.rd <= 100.0 for p in pool)
+
+
+# ---------------------------------------------------------------------------
+# Matches with a model player play their games at once
+
+FEN_PREFIX = "The current FEN: "
+LEGAL_PREFIX = "Legal moves in UCI notation: "
+
+
+def fen_of(messages) -> str:
+    """The FEN a request shows the model."""
+    lines = (line for m in messages for line in m.content.splitlines())
+    return next(line for line in lines if line.startswith(FEN_PREFIX))[len(FEN_PREFIX):]
+
+
+class HashedTransport:
+    """A stateless model: after `latency` seconds it answers one of the legal
+    moves its prompt lists, chosen by a hash of the whole request, so games
+    played in any order, or at once, get the same replies."""
+
+    def __init__(self, latency=0.001):
+        self.latency = latency
+
+    def complete(self, messages):
+        time.sleep(self.latency)
+        text = "\n".join(m.content for m in messages)
+        line = next(line for line in reversed(text.splitlines()) if line.startswith(LEGAL_PREFIX))
+        moves = line[len(LEGAL_PREFIX):].rstrip(".").split()
+        pick = int(hashlib.sha256(text.encode()).hexdigest(), 16) % len(moves)
+        return ChatResponse(text=f"```{moves[pick]}```")
+
+
+def toy_spec(pid="toy"):
+    return PlayerSpec(id=pid, kind="uci_engine", engine_command=" ".join(TOY_ENGINE_CMD),
+                      engine_limits={"depth": 1})
+
+
+def reference_match(req, pool, cfg, registry, seed):
+    """`run_match` as one loop: each game in index order, then its rating update."""
+    entries = {p.id: p for p in pool}
+    records = []
+    for index in range(req.n_games):
+        white_id, black_id = (req.a_id, req.b_id) if index % 2 == 0 else (req.b_id, req.a_id)
+        game_seed = derive_seed(seed, f"game:{index}")
+        gid = game_id_for(white_id, black_id, game_seed, index)
+        record = play_game(registry.player(white_id), registry.player(black_id), cfg, game_seed, game_id=gid)
+        records.append(record)
+        if not record.aborted:
+            white, black = entries[white_id], entries[black_id]
+            white.rating, black.rating = update_pair(
+                white.rating, black.rating, MatchOutcome(record.result_white), cfg.rating
+            )
+    return records
+
+
+def untimed(record):
+    return dataclasses.replace(record, started_at=0.0, finished_at=0.0)
+
+
+@pytest.mark.parametrize("opponent", ["llm", "random"])
+def test_model_match_at_once_equals_games_in_order(tmp_path, opponent):
+    other = llm_spec("other") if opponent == "llm" else PlayerSpec(id="other", kind="random")
+    specs = [llm_spec("model"), other]
+    registry = PlayerRegistry(
+        specs, transports={s.id: HashedTransport() for s in specs if s.kind == "llm_api"}
+    )
+    # Every player listed, so the leaderboard files carry the ratings.
+    cfg = GameConfig(ply_cap=24, rating=RatingConfig(display_rd_threshold=350.0))
+    req = MatchRequest("model", "other", 8)  # more game threads than cores
+    ref_pool = fresh_pool(specs)
+    expected = reference_match(req, ref_pool, cfg, registry, seed=3)
+    pool = fresh_pool(specs)
+    run_dir = RunDir(tmp_path / "run")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that a lost update would show
+    try:
+        records = run_match(req, pool, cfg, registry, run_dir=run_dir, seed=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(map(untimed, records)) == list(map(untimed, expected))
+    assert [untimed(run_dir.read_game(r.game_id)) for r in records] == list(map(untimed, expected))
+    assert [p.rating for p in pool] == [p.rating for p in ref_pool]
+    ref_dir = RunDir(tmp_path / "reference")
+    for dir_, entries in ((run_dir, pool), (ref_dir, ref_pool)):
+        dir_.write_pool(entries)
+        dir_.write_leaderboard(compute_leaderboard(entries, cfg.rating))
+    assert len(compute_leaderboard(pool, cfg.rating)) == 2
+    for name in ("pool.json", "leaderboard.md", "leaderboard.json"):
+        assert (run_dir.root / name).read_bytes() == (ref_dir.root / name).read_bytes()
+
+
+def test_model_match_has_both_games_in_flight_at_once():
+    """Each game's first model request waits for the other game's: played
+    one after the other, the first wait times out and the match fails."""
+    barrier = threading.Barrier(2, timeout=5)
+
+    class Meeting(HashedTransport):
+        def complete(self, messages):
+            if fen_of(messages).split()[-1] == "1":  # the model's first move of a game
+                barrier.wait()
+            return super().complete(messages)
+
+    specs = [llm_spec("model"), PlayerSpec(id="rand", kind="random")]
+    registry = PlayerRegistry(specs, transports={"model": Meeting()})
+    records = run_match(MatchRequest("model", "rand", 2), fresh_pool(specs), GameConfig(ply_cap=12),
+                        registry, seed=1)
+    assert [r.aborted for r in records] == [False, False]
+
+
+def test_engine_match_never_overlaps_two_searches(monkeypatch):
+    lock = threading.Lock()
+    in_flight = []
+    widths = []
+
+    def recording_best_move(handle, board, limits):
+        with lock:
+            in_flight.append(handle)
+            widths.append(len(in_flight))
+        try:
+            time.sleep(0.002)  # widen the window an overlap would need
+            return best_move(handle, board, limits)
+        finally:
+            with lock:
+                in_flight.remove(handle)
+
+    monkeypatch.setattr(arena, "best_move", recording_best_move)
+    specs = [toy_spec(), llm_spec("model")]
+    with PlayerRegistry(specs, transports={"model": HashedTransport()}) as registry:
+        records = run_match(MatchRequest("toy", "model", 4), fresh_pool(specs), GameConfig(ply_cap=16),
+                            registry, seed=2)
+    assert not any(r.aborted for r in records)
+    assert widths and max(widths) == 1
+
+
+def test_resumed_engine_match_starts_no_engine(tmp_path, monkeypatch):
+    specs = [llm_spec("model"), toy_spec()]
+    req = MatchRequest("model", "toy", 2)
+    run_dir = RunDir(tmp_path)
+    with PlayerRegistry(specs, transports={"model": HashedTransport()}) as registry:
+        first = run_match(req, fresh_pool(specs), GameConfig(ply_cap=12), registry, run_dir=run_dir, seed=6)
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("a resumed match started an engine")
+
+    monkeypatch.setattr(arena, "start_engine", no_engine)
+    with PlayerRegistry(specs, transports={"model": HashedTransport()}) as registry:
+        again = run_match(req, fresh_pool(specs), GameConfig(ply_cap=12), registry, run_dir=run_dir, seed=6)
+    assert again == first
+
+
+def test_model_match_raises_a_game_error_once_the_other_game_ends(tmp_path):
+    class FailsAsBlack(HashedTransport):
+        def complete(self, messages):
+            if fen_of(messages).split()[1] == "b":  # game 1, where the model plays Black
+                raise RuntimeError("model broke")
+            return super().complete(messages)
+
+    specs = [llm_spec("model"), PlayerSpec(id="rand", kind="random")]
+    registry = PlayerRegistry(specs, transports={"model": FailsAsBlack()})
+    pool = fresh_pool(specs)
+    run_dir = RunDir(tmp_path)
+    with pytest.raises(RuntimeError, match="model broke"):
+        run_match(MatchRequest("model", "rand", 2), pool, GameConfig(ply_cap=20), registry,
+                  run_dir=run_dir, seed=4)
+    game0 = game_id_for("model", "rand", derive_seed(4, "game:0"), 0)
+    assert run_dir.game_ids() == [game0]
+    assert not run_dir.read_game(game0).aborted
+    assert all(p.rating == RatingState.fresh(RatingConfig()) for p in pool)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_interrupted_model_match_returns_without_waiting_for_its_games(tmp_path):
+    release = threading.Event()
+
+    class InterruptsThenStalls(HashedTransport):
+        def complete(self, messages):
+            side, move_number = fen_of(messages).split()[1::4]
+            # Game 1, a few moves in, once the calling thread waits for the games.
+            if side == "b" and move_number == "3" and not release.is_set():
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                release.wait(10)
+            return super().complete(messages)
+
+    specs = [llm_spec("model"), PlayerSpec(id="rand", kind="random")]
+    registry = PlayerRegistry(specs, transports={"model": InterruptsThenStalls()})
+    run_dir = RunDir(tmp_path)
+    threads_before = threading.active_count()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_match(MatchRequest("model", "rand", 2), fresh_pool(specs), GameConfig(ply_cap=20), registry,
+                      run_dir=run_dir, seed=4)
+        waited = time.perf_counter() - started
+        game1 = game_id_for("rand", "model", derive_seed(4, "game:1"), 1)
+        assert not run_dir.game_path(game1).exists()  # unfinished, so a resume replays it
+    finally:
+        release.set()
+        deadline = time.monotonic() + 10
+        while threading.active_count() > threads_before and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert waited < 5
+    assert threading.active_count() == threads_before
+
+
+def test_run_tournament_without_a_round_removes_the_rounds_log(tmp_path):
+    specs = random_specs()
+    registry = PlayerRegistry(specs)
+    run_dir = RunDir(tmp_path)
+    run_tournament(fresh_pool(specs), rounds=2, registry=registry, cfg=GameConfig(ply_cap=20), seed=1,
+                   run_dir=run_dir)
+    assert len((run_dir.root / "rounds.jsonl").read_text().splitlines()) == 2
+    run_tournament(fresh_pool(specs), rounds=0, registry=registry, cfg=GameConfig(ply_cap=20), seed=1,
+                   run_dir=run_dir)
+    assert not (run_dir.root / "rounds.jsonl").exists()

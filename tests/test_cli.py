@@ -437,7 +437,51 @@ def test_tournament_rerun_stops_on_a_garbled_game_row(tmp_path, capsys):
     capsys.readouterr()
     err = _one_error_line(capsys, args)
     assert err.startswith(f"error: {game_file}:3: ")
-    # The rounds log is reset when a tournament starts; every other file stays as it was.
+    # Every other file stays as it was; the next test checks the rounds log.
     del files[run_dir / "rounds.jsonl"]
     assert files == {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run_dir.rglob("*")
                      if p.is_file() and p.name != "rounds.jsonl"}
+
+
+def test_tournament_rerun_stopped_in_round_0_keeps_the_rounds_log(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, extra={"ply_cap": 20})
+    args = ["tournament", "--config", str(config), "--rounds", "3", "--seed", "4"]
+    assert main(args) == 0
+    rounds = run_dir / "rounds.jsonl"
+    logged = rounds.read_bytes()
+    first_game = json.loads(logged.splitlines()[0])["games"][0]
+    game_file = run_dir / "games" / f"{first_game}.jsonl"
+    lines = game_file.read_text().splitlines()
+    lines[2] = lines[2].replace('"ply": ', '"plyy": ')
+    game_file.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    err = _one_error_line(capsys, args)
+    assert err.startswith(f"error: {game_file}:3: ")
+    assert rounds.read_bytes() == logged
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: {**h, "white": "rbnd-1"},  # a player the pool does not hold
+        lambda h: {**h, "white": h["black"], "black": h["white"]},  # the pairing swapped
+        lambda h: {**h, "seed": h["seed"] + 1},
+        lambda h: {**h, "game_id": "0" * 16},
+    ],
+    ids=["foreign-player", "swapped-players", "seed", "game-id"],
+)
+def test_match_rerun_stops_on_a_game_header_that_is_not_the_derived_game(tmp_path, capsys, edit):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, extra={"ply_cap": 20})
+    args = ["match", "--config", str(config), "--white", "rand-0", "--black", "rand-1", "--seed", "2"]
+    assert main(args) == 0
+    game_file = sorted((run_dir / "games").glob("*.jsonl"))[0]
+    lines = game_file.read_text().splitlines()
+    lines[0] = json.dumps(edit(json.loads(lines[0])), sort_keys=True)
+    game_file.write_text("\n".join(lines) + "\n")
+    files = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run_dir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    err = _one_error_line(capsys, args)
+    assert err.startswith(f"error: {game_file}: header is game ")
+    assert files == {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run_dir.rglob("*") if p.is_file()}
