@@ -378,11 +378,19 @@ def annotate_record(record: GameRecord, handle, depth: int, cache: AnalysisCache
 
 
 def annotate_games(records, handle, depth: int, run_dir: RunDir) -> None:
-    """Annotate each record, through the run's analysis cache, and rewrite its file."""
+    """Annotate each record, through the run's analysis cache, and write its
+    file unless the file already holds those bytes (a re-annotated game)."""
     cache = AnalysisCache(run_dir.root / "analysis")
     for record in records:
         annotate_record(record, handle, depth, cache)
-        run_dir.write_game(record)
+        path = run_dir.game_path(record.game_id)
+        text = encode_game(record)
+        try:
+            if path.read_bytes() == text.encode():
+                continue
+        except FileNotFoundError:
+            pass
+        write_atomic(path, text)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ concurrent analyses.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import queue
+import math
+import os
+import select
 import shlex
 import subprocess
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,29 +118,30 @@ def top_moves_of(evals) -> frozenset:
 
 
 class EngineHandle:
-    """A running UCI engine process with background readers: one queues its
-    output lines, one keeps the last lines of its stderr for error messages."""
+    """A running UCI engine process. Requests collect until the next read, so
+    a search's commands leave in one write; its output is read on the calling
+    thread; a background reader keeps the last lines of its stderr for error
+    messages."""
 
     def __init__(self, proc: subprocess.Popen, command: str):
         self._proc = proc
         self._command = command
-        self._lines: queue.Queue = queue.Queue()
+        self._unsent: list = []  # request lines not yet written
+        self._stdout = proc.stdout.fileno()  # read raw: the file object's buffer stays empty
+        self._poll = select.poll()
+        self._poll.register(self._stdout, select.POLLIN)
+        self._buffer = bytearray()  # output read but not yet cut into lines
+        self._after_cr = False  # the last line ended in a bare CR: a LF next ends nothing
+        self._eof = False
         self._dead = False
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
         self._stderr_tail: deque = deque(maxlen=STDERR_TAIL_LINES)
         self._stderr_reader = threading.Thread(target=self._drain_stderr, daemon=True)
         self._stderr_reader.start()
         self.name = ""
         self.options: dict = {}
 
-    def _pump(self):
-        for line in self._proc.stdout:
-            self._lines.put(line.rstrip("\n"))
-        self._lines.put(None)  # EOF sentinel
-
     def _drain_stderr(self):
-        for line in self._proc.stderr:
+        for line in io.TextIOWrapper(self._proc.stderr, encoding="utf-8", errors="replace"):
             self._stderr_tail.append(line.rstrip("\n"))
 
     def _failure(self, message: str) -> EngineError:
@@ -148,30 +153,71 @@ class EngineHandle:
         return EngineError(message)
 
     def send(self, line: str) -> None:
+        """Queue one command line; the next `read_line` or `quit` writes it."""
         if self._dead or self._proc.poll() is not None:
             raise self._failure("engine process is gone")
+        self._unsent.append(line + "\n")
+
+    def _flush(self) -> None:
+        data = "".join(self._unsent).encode()
+        self._unsent.clear()
         try:
-            self._proc.stdin.write(line + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+            while data:
+                data = data[os.write(self._proc.stdin.fileno(), data) :]
+        except OSError as exc:  # BrokenPipeError among them
             self._dead = True
             raise self._failure(f"engine pipe broken: {exc}") from exc
 
-    def read_line(self, timeout: float) -> str:
-        """The next output line. A timeout kills the process: its late output
-        must not answer a later search."""
-        try:
-            line = self._lines.get(timeout=timeout)
-        except queue.Empty:
-            self._dead = True
-            self._proc.kill()
-            raise self._failure(f"engine silent for {timeout}s") from None
-        if line is None:
-            # Keep the sentinel around: every later read must fail too.
-            self._dead = True
-            self._lines.put(None)
-            raise self._failure("engine closed its output")
+    def _cut_line(self) -> str | None:
+        """The first whole line of the buffer, without its end (LF, CRLF or
+        CR), or the rest of the buffer once the output has ended."""
+        buffer = self._buffer
+        if self._after_cr and buffer:
+            self._after_cr = False
+            if buffer[0] == 0x0A:
+                del buffer[0]
+        end = buffer.find(b"\n")
+        cr = buffer.find(b"\r", 0, len(buffer) if end < 0 else end)
+        if cr >= 0:
+            end, skip = cr, 2 if cr + 1 == end else 1
+            self._after_cr = cr + 1 == len(buffer)
+        elif end >= 0:
+            skip = 1
+        elif self._eof and buffer:
+            end, skip = len(buffer), 0
+        else:
+            return None
+        line = buffer[:end].decode("utf-8", errors="replace")
+        del buffer[: end + skip]
         return line
+
+    def read_line(self, timeout: float) -> str:
+        """The next output line, after writing any queued commands. Silence
+        for `timeout` seconds kills the process: its late output must not
+        answer a later search."""
+        if self._unsent:
+            self._flush()
+        deadline = time.monotonic() + timeout
+        while True:
+            line = self._cut_line()
+            if line is not None:
+                return line
+            if self._eof:
+                self._dead = True  # every later read fails too
+                raise self._failure("engine closed its output")
+            if self._dead:
+                raise self._failure("engine process is gone")
+            left = deadline - time.monotonic()
+            if left <= 0:
+                self._dead = True
+                self._proc.kill()
+                raise self._failure(f"engine silent for {timeout}s")
+            if self._poll.poll(math.ceil(left * 1000)):
+                chunk = os.read(self._stdout, 65536)
+                if chunk:
+                    self._buffer += chunk
+                else:
+                    self._eof = True
 
     def expect(self, token: str, timeout: float) -> list:
         """Read lines until one equals/starts with token; returns all lines."""
@@ -198,17 +244,19 @@ class EngineHandle:
         try:
             if self._proc.poll() is None:
                 self.send("quit")
+                self._flush()
                 self._proc.wait(timeout=5)
         except (EngineError, subprocess.TimeoutExpired):
             self._proc.kill()
             self._proc.wait()
         finally:
+            self._dead = True
             self._proc.stdin.close()
-            # A pipe is closed once its reader has seen the end of it.
-            for reader, pipe in ((self._reader, self._proc.stdout), (self._stderr_reader, self._proc.stderr)):
-                reader.join(timeout=1.0)
-                if not reader.is_alive():
-                    pipe.close()
+            self._proc.stdout.close()
+            # The stderr pipe is closed once its reader has seen the end of it.
+            self._stderr_reader.join(timeout=1.0)
+            if not self._stderr_reader.is_alive():
+                self._proc.stderr.close()
 
     def __enter__(self):
         return self
@@ -230,9 +278,6 @@ def start_engine(
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,  # drained into the handle's stderr tail
-            text=True,
-            errors="replace",  # stray bytes must not stop the readers
-            bufsize=1,
         )
     except OSError as exc:
         raise EngineError(f"cannot start engine {argv[0]!r}: {exc}") from exc
@@ -297,8 +342,7 @@ def analyze_all_moves(
     if not legal:
         raise EngineError(f"position has no legal moves: {fen}")
     legal_ucis = {mv.uci: mv for mv in legal}
-    handle.set_option("MultiPV", len(legal))
-    handle.sync()
+    handle.set_option("MultiPV", len(legal))  # the engine applies it before the search
     handle.send(f"position fen {fen}")
     handle.send(f"go depth {depth}")
 

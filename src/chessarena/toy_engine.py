@@ -10,7 +10,9 @@ The search does only the work its answers need: "is the side to move stuck?"
 stops at the first legal reply, check is tested before any reply is
 generated, full reply lists are built only for the mate-in-two scan, whose
 mate-in-one probe plays only moves that could give check, and material is
-the position's balance plus what each move captures or promotes.
+the position's balance plus what each move captures or promotes. At MultiPV 1
+it looks for the best move alone and scores the others only as far as that
+decides it. Each answer leaves in one write.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import sys
 
 from .core import (
     BoardState,
+    MoveToken,
     is_check,
     legal_moves,
     parse_fen,
@@ -142,12 +145,60 @@ def _order_key(entry):
     return (-raw, uci)
 
 
+def best_scored(state: BoardState, depth: int):
+    """The first entry of `sorted(score_moves(state, depth), key=_order_key)`,
+    or None when there is no legal move, scoring only what decides it: mates
+    in one among the moves that may give check, then (at the scan depth)
+    mates in two among the checks, then material, testing for stalemate
+    (which scores cp 0) only while it could change the answer."""
+    moves = legal_moves(state)  # UCI order: the tie-break
+    if not moves:
+        return None
+    king_sq = state.board.index(-KING * state.turn)
+    checks = {}
+    for mv in moves:
+        if _may_give_check(state, king_sq, *mv):
+            after = _raw_apply(state, *mv)
+            if is_check(after):
+                if _stuck(after):
+                    return (mv.uci, "mate", 1)
+                checks[mv] = after
+    if depth >= MATE_SCAN_MIN_DEPTH:
+        for mv, after in checks.items():
+            if _forces_mate_in_two(after, _raw_legal_moves(after)):
+                return (mv.uci, "mate", 2)
+
+    def stalemates(i: int) -> bool:  # a check left here is no mate, so it leaves a reply
+        return moves[i] not in checks and _stuck(_raw_apply(state, *moves[i]))
+
+    balance = material_balance(state, state.turn)
+    values = [balance + _material_gain(state, *mv) for mv in moves]
+    zero = None  # index of the first move in UCI order known to score cp 0
+    for i in sorted(range(len(moves)), key=values.__getitem__, reverse=True):  # stable
+        if values[i] <= 0:
+            break
+        if not stalemates(i):
+            return (moves[i].uci, "cp", values[i])  # beats every cp 0 and all below it
+        zero = i if zero is None else min(zero, i)
+    # No positive score stands (each stalemated, so none lies before `zero`):
+    # cp 0 wins if any move scores it, by even material or by stalemate; else
+    # the smallest material loss does.
+    for i, value in enumerate(values[:zero]):
+        if value == 0 or (value < 0 and stalemates(i)):
+            zero = i
+            break
+    if zero is not None:
+        return (moves[zero].uci, "cp", 0)
+    i = max(range(len(moves)), key=values.__getitem__)  # the first of the best
+    return (moves[i].uci, "cp", values[i])
+
+
 def run(stdin=None, stdout=None) -> None:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
 
-    def emit(line: str) -> None:
-        stdout.write(line + "\n")
+    def emit(*lines: str) -> None:
+        stdout.write("".join(line + "\n" for line in lines))
         stdout.flush()
 
     state = parse_fen(START_FEN)
@@ -158,12 +209,14 @@ def run(stdin=None, stdout=None) -> None:
             continue
         cmd, _, rest = line.partition(" ")
         if cmd == "uci":
-            emit("id name ToyFish 0.1")
-            emit("id author chessarena")
-            emit("option name MultiPV type spin default 1 min 1 max 256")
-            emit("option name Threads type spin default 1 min 1 max 1")
-            emit("option name Hash type spin default 1 min 1 max 64")
-            emit("uciok")
+            emit(
+                "id name ToyFish 0.1",
+                "id author chessarena",
+                "option name MultiPV type spin default 1 min 1 max 256",
+                "option name Threads type spin default 1 min 1 max 1",
+                "option name Hash type spin default 1 min 1 max 64",
+                "uciok",
+            )
         elif cmd == "isready":
             emit("readyok")
         elif cmd == "setoption":
@@ -179,16 +232,23 @@ def run(stdin=None, stdout=None) -> None:
             state = _set_position(rest)
         elif cmd == "go":
             depth = _go_depth(rest)
-            scored = sorted(score_moves(state, depth), key=_order_key)
+            if multipv == 1:
+                best = best_scored(state, depth)
+                scored = [best] if best else []
+            else:
+                scored = sorted(score_moves(state, depth), key=_order_key)[:multipv]
             if not scored:
                 emit("bestmove (none)")
                 continue
-            for idx, (uci, kind, value) in enumerate(scored[:multipv], start=1):
-                emit(
+            nodes = len(legal_moves(state))
+            emit(
+                *(
                     f"info depth {depth} seldepth {depth} multipv {idx} "
-                    f"score {kind} {value} nodes {len(scored)} pv {uci}"
-                )
-            emit(f"bestmove {scored[0][0]}")
+                    f"score {kind} {value} nodes {nodes} pv {uci}"
+                    for idx, (uci, kind, value) in enumerate(scored, start=1)
+                ),
+                f"bestmove {scored[0][0]}",
+            )
         elif cmd == "quit":
             break
 
@@ -206,18 +266,11 @@ def _set_position(rest: str) -> BoardState:
     else:
         raise ValueError(f"bad position command: {rest!r}")
     for uci in moves:
-        for raw in _raw_legal_moves(state):
-            frm, to, promo = raw
-            if f"{_sq(frm)}{_sq(to)}{promo or ''}" == uci:
-                state = _raw_apply(state, *raw)
-                break
-        else:
+        move = MoveToken.from_uci(uci)
+        if move not in legal_moves(state):
             raise ValueError(f"illegal move {uci} in position stream")
+        state = _raw_apply(state, *move)
     return state
-
-
-def _sq(index: int) -> str:
-    return "abcdefgh"[index & 7] + "12345678"[index >> 3]
 
 
 def _go_depth(rest: str) -> int:

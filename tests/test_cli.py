@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from chessarena import cli
+from chessarena import arena, cli
 from chessarena.cli import UserError, load_config, main
 from chessarena.engine import start_engine
 from chessarena.evals import MoveSelectionItem, save_move_items
@@ -410,6 +410,22 @@ def test_annotated_commands_start_the_oracle_once(tmp_path, monkeypatch, argv):
     plies = [json.loads(line) for path in (tmp_path / "run" / "games").glob("*.jsonl")
              for line in path.read_text().splitlines()[1:-1]]
     assert plies and all(p["q"] is not None for p in plies if p["move"])
+
+
+def test_reannotating_a_finished_run_dir_writes_no_game_file(tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, n_random=2,
+                          extra={"ply_cap": 12, "engine": {"path": TOY_CMD, "depth": 1}})
+    args = ["tournament", "--config", str(config), "--rounds", "2", "--annotate"]
+    assert main(args) == 0
+    games = {path: path.read_bytes() for path in (run_dir / "games").glob("*.jsonl")}
+    written = []
+    real_write = arena.write_atomic
+    monkeypatch.setattr(arena, "write_atomic", lambda path, text: written.append(path) or real_write(path, text))
+    assert main(args) == 0
+    assert games and written  # the pool and the leaderboard are rewritten
+    assert [path for path in written if path.parent == run_dir / "games"] == []
+    assert {path: path.read_bytes() for path in (run_dir / "games").glob("*.jsonl")} == games
 
 
 def test_tournament_annotation_skips_an_unfinished_game_file(tmp_path):

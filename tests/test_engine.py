@@ -1,10 +1,13 @@
+import os
 import random
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
 import chessarena.core.moves as moves
+import chessarena.engine as engine_module
 from chessarena.arena import EnginePlayer, GameConfig, LlmPlayer, RandomPlayer, play_game
 from chessarena.core import BoardState, legal_moves, parse_fen
 from chessarena.engine import (
@@ -381,6 +384,120 @@ def test_engine_error_carries_the_stderr_tail(tmp_path):
     assert "fatal: cannot open weights file nn.bin" in message
     assert "line 29" in message and "line 11" in message
     assert "line 10" not in message  # only the last 20 lines are kept
+
+
+def _chunk_engine(tmp_path, chunks, exit_after=False):
+    """An engine that answers `go` by writing `chunks` to its stdout, one write
+    and flush each (a number is a pause in seconds), then exits if `exit_after`."""
+    path = tmp_path / "chunks.py"
+    path.write_text(
+        textwrap.dedent(
+            f"""\
+            import sys, time
+            out = sys.stdout.buffer
+            for line in sys.stdin:
+                t = line.strip()
+                if t == "uci":
+                    out.write(b"id name Chunks\\nuciok\\n"); out.flush()
+                elif t == "isready":
+                    out.write(b"readyok\\n"); out.flush()
+                elif t == "go":
+                    for chunk in {chunks!r}:
+                        if isinstance(chunk, bytes):
+                            out.write(chunk); out.flush()
+                        else:
+                            time.sleep(chunk)
+                    if {exit_after!r}:
+                        break
+                elif t == "quit":
+                    break
+            """
+        )
+    )
+    return [sys.executable, str(path)]
+
+
+@pytest.mark.parametrize(
+    "chunks, lines",
+    [
+        ([b"info a\ninfo b\nbestmove e2e4\n"], ["info a", "info b", "bestmove e2e4"]),
+        ([b"bestm", 0.1, b"ove e2e4\n"], ["bestmove e2e4"]),
+        (
+            [b"info a\r\ninfo b\r", 0.1, b"\ninfo c\rbestmove e2e4\r\n"],
+            ["info a", "info b", "info c", "bestmove e2e4"],
+        ),
+        ([b"info caf\xe9 \xff\nbestmove e2e4\n"], ["info caf\ufffd \ufffd", "bestmove e2e4"]),
+    ],
+    ids=["lines-in-one-chunk", "line-across-two-writes", "crlf-and-cr", "non-utf8"],
+)
+def test_pipe_reader_cuts_lines(tmp_path, chunks, lines):
+    handle = start_engine(_chunk_engine(tmp_path, chunks))
+    try:
+        handle.send("go")
+        assert [handle.read_line(5.0) for _ in lines] == lines
+        handle.send("isready")
+        assert handle.read_line(5.0) == "readyok"  # nothing left over, no empty line
+    finally:
+        handle.quit()
+
+
+def test_a_partial_line_then_silence_kills_the_engine(tmp_path):
+    handle = start_engine(_chunk_engine(tmp_path, [b"bestmo"]))
+    try:
+        handle.send("go")
+        with pytest.raises(EngineError, match="silent"):
+            handle.read_line(0.3)
+        assert handle._proc.wait(timeout=5) is not None
+        for _ in range(2):
+            with pytest.raises(EngineError, match="engine process is gone"):
+                handle.read_line(5.0)
+        with pytest.raises(EngineError, match="engine process is gone"):
+            handle.send("isready")
+    finally:
+        handle.quit()
+
+
+def test_a_partial_last_line_before_eof_is_delivered(tmp_path):
+    handle = start_engine(_chunk_engine(tmp_path, [b"info last\npartial"], exit_after=True))
+    try:
+        handle.send("go")
+        assert [handle.read_line(5.0), handle.read_line(5.0)] == ["info last", "partial"]
+        for _ in range(2):  # every later read fails too
+            with pytest.raises(EngineError, match="closed its output"):
+                handle.read_line(5.0)
+    finally:
+        handle.quit()
+
+
+def test_each_request_leaves_in_one_write(monkeypatch, toy_handle):
+    writes = []
+
+    def recording_write(fd, data):
+        writes.append(bytes(data))
+        return os.write(fd, data)
+
+    monkeypatch.setattr(engine_module, "os", SimpleNamespace(write=recording_write, read=os.read))
+    fen = BoardState.start().fen
+    best_move(toy_handle, BoardState.start(), {"depth": 2})
+    analyze_all_moves(toy_handle, fen, depth=1)
+    assert writes == [
+        f"position fen {fen}\ngo depth 2\n".encode(),
+        f"setoption name MultiPV value 20\nposition fen {fen}\ngo depth 1\n".encode(),  # no isready
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc")
+def test_start_quit_cycles_leave_no_descriptor_open():
+    def cycle():
+        handle = start_engine(TOY_ENGINE_CMD)
+        best_move(handle, BoardState.start(), {"depth": 1})
+        handle.quit()
+
+    cycle()
+    before = sorted(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        cycle()
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 class LegalListTransport:

@@ -3,9 +3,11 @@ positions, the mate-in-two label against the brute-force oracle, and the
 shortcuts the search takes against the full computations they replace."""
 
 import hashlib
+import io
 import json
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chessarena.core import BoardState, MoveToken, apply_move, legal_moves, parse_fen
@@ -13,16 +15,19 @@ from chessarena.core.moves import _iter_legal_moves, _raw_apply, _raw_legal_move
 from chessarena.evals import load_lichess_puzzles
 from chessarena.core import is_check
 from chessarena.core.board import KING
+from chessarena.engine import EngineError, start_engine
 from chessarena.toy_engine import (
     _material_gain,
     _may_give_check,
     _order_key,
+    _set_position,
     _stuck,
     material_balance,
+    run,
     score_moves,
 )
 
-from conftest import PUZZLES_CSV, playout
+from conftest import PUZZLES_CSV, TOY_ENGINE_CMD, playout, playout_with_moves
 from oracle_chess import o_apply_uci, o_in_check, o_legal_moves, o_parse
 
 # sha256 over the sorted `score_moves` output of every position below; any
@@ -154,3 +159,130 @@ def test_may_give_check_never_misses_a_check():
                 checks += 1
                 assert _may_give_check(board, king_sq, *raw), (board.fen, raw)
     assert checks > 1000
+
+
+# The side to move is behind in material and its best answer stalemates.
+STALEMATE_FENS = [
+    "7K/5k1P/8/8/8/8/8/8 b - - 0 1",  # Kf8 stalemates
+    "8/8/8/8/8/8/p1K5/k7 w - - 0 1",  # Kc1 stalemates
+    "k7/2K5/3B4/2r5/8/8/8/8 w - - 0 1",  # taking the rook stalemates: cp 0 still beats the rest
+    "7k/5K1p/7P/8/8/2r5/1P1P4/8 w - - 0 1",  # either pawn takes the rook and stalemates: b2c3 first
+]
+# Several moves score cp 0, by even material or by stalemate; the first in UCI order wins.
+TIE_FENS = [
+    "8/8/1R1p4/3q4/4K3/8/7R/k7 w - - 0 1",  # taking the queen stalemates, and comes first
+    "K7/P2k4/2p5/8/8/8/8/8 b - - 0 1",  # c6c5 comes before the stalemating king steps
+    "8/8/8/Q1q5/8/7K/8/7k w - - 0 1",  # even material, no stalemate
+]
+
+
+def _stalemating(board) -> set:
+    afters = {mv.uci: apply_move(board, mv) for mv in legal_moves(board)}
+    return {uci for uci, after in afters.items() if not is_check(after) and not legal_moves(after)}
+
+
+def test_hand_built_positions_hold_what_they_claim():
+    for fen in STALEMATE_FENS:
+        board = parse_fen(fen)
+        best = sorted(score_moves(board, 2), key=_order_key)[0]
+        assert material_balance(board, board.turn) < 0 and best[0] in _stalemating(board), fen
+    for fen in TIE_FENS:
+        board = parse_fen(fen)
+        scored = score_moves(board, 2)
+        assert sum((kind, value) == ("cp", 0) for _uci, kind, value in scored) >= 2, fen
+    assert all(_stalemating(parse_fen(fen)) for fen in TIE_FENS[:2])
+
+
+def _answers(script: str) -> list:
+    """Toyfish's answers to a command script, run in-process: the lines of
+    each `go` answer, one list per answer."""
+    out = io.StringIO()
+    run(io.StringIO(script), out)
+    answers, lines = [], []
+    for line in out.getvalue().splitlines():
+        lines.append(line)
+        if line.startswith("bestmove"):
+            answers.append(lines)
+            lines = []
+    return answers
+
+
+def _head(listing: list) -> list:
+    """The first info line and the bestmove of a full MultiPV listing."""
+    return listing if len(listing) == 1 else [listing[0], listing[-1]]
+
+
+def _best_only_jobs():
+    boards = _playout_positions() + [_after_setup(p, n) for p in PUZZLES for n in (1, 3)]
+    boards += [parse_fen(fen) for fen in STALEMATE_FENS + TIE_FENS]
+    return [(board.fen, depth) for board in boards for depth in (1, 2, 3, 4)]
+
+
+def test_best_only_answer_is_the_head_of_the_full_listing():
+    jobs = _best_only_jobs()
+    script = "".join(
+        f"setoption name MultiPV value 1\nposition fen {fen}\ngo depth {depth}\n"
+        f"setoption name MultiPV value 256\nposition fen {fen}\ngo depth {depth}\n"
+        for fen, depth in jobs
+    )
+    answers = _answers(script)
+    assert len(answers) == 2 * len(jobs) > 3000
+    for (fen, depth), best, listing in zip(jobs, answers[::2], answers[1::2]):
+        assert best == _head(listing), (fen, depth)
+
+
+def test_best_only_answer_is_the_head_of_the_full_listing_through_a_handle():
+    jobs = _best_only_jobs()[::9] + [(fen, 4) for fen in STALEMATE_FENS + TIE_FENS]
+    handle = start_engine(TOY_ENGINE_CMD)
+    try:
+        for fen, depth in jobs:
+            answers = []
+            for multipv in (1, 256):
+                handle.set_option("MultiPV", multipv)
+                handle.send(f"position fen {fen}")
+                handle.send(f"go depth {depth}")
+                answers.append(handle.expect("bestmove", 10.0))
+            assert answers[0] == _head(answers[1]), (fen, depth)
+    finally:
+        handle.quit()
+
+
+class CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("script", ["uci\n", "go depth 2\n", "setoption name MultiPV value 3\ngo depth 2\n"])
+def test_each_answer_leaves_in_one_write(script):
+    out = CountingWriter()
+    run(io.StringIO(script), out)
+    assert out.writes == 1 and out.getvalue().count("\n") > 1
+
+
+def test_position_moves_reach_the_position_of_the_fen():
+    for seed in range(20):
+        for plies in (1, 2, 9, 60, 150):
+            board, moves = playout_with_moves(seed, plies)
+            assert _set_position("startpos moves " + " ".join(mv.uci for mv in moves)) == parse_fen(board.fen)
+    board, moves = playout_with_moves(7, 40)
+    middle, _ = playout_with_moves(7, 30)
+    tail = " ".join(mv.uci for mv in moves[30:])
+    assert _set_position(f"fen {middle.fen} moves {tail}") == parse_fen(board.fen)
+
+
+@pytest.mark.parametrize("move", ["e4e5", "e2e9"])
+def test_an_illegal_move_in_the_position_stream_names_the_move(move):
+    handle = start_engine(TOY_ENGINE_CMD)
+    try:
+        handle.send(f"position startpos moves e2e4 e7e5 {move}")
+        handle.send("go depth 1")
+        with pytest.raises(EngineError, match="closed its output") as info:
+            handle.expect("bestmove", 10.0)
+        assert move in str(info.value).split("stderr:", 1)[1]
+    finally:
+        handle.quit()
