@@ -141,8 +141,9 @@ class EngineHandle:
         self.options: dict = {}
 
     def _drain_stderr(self):
-        for line in io.TextIOWrapper(self._proc.stderr, encoding="utf-8", errors="replace"):
-            self._stderr_tail.append(line.rstrip("\n"))
+        with io.TextIOWrapper(self._proc.stderr, encoding="utf-8", errors="replace") as lines:
+            for line in lines:  # until the process closes its end
+                self._stderr_tail.append(line.rstrip("\n"))
 
     def _failure(self, message: str) -> EngineError:
         """An EngineError for a process that is gone or going, with the last
@@ -253,10 +254,7 @@ class EngineHandle:
             self._dead = True
             self._proc.stdin.close()
             self._proc.stdout.close()
-            # The stderr pipe is closed once its reader has seen the end of it.
-            self._stderr_reader.join(timeout=1.0)
-            if not self._stderr_reader.is_alive():
-                self._proc.stderr.close()
+            self._stderr_reader.join(timeout=1.0)  # it closes the stderr pipe at the end
 
     def __enter__(self):
         return self
