@@ -9,6 +9,7 @@ duplicates a game.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import random
@@ -32,7 +33,15 @@ from .core import (
     move_to_san,
 )
 from .core.status import DEFAULT_PLY_CAP
-from .engine import AnalysisCache, EngineError, analyze_all_moves, best_move, start_engine, write_atomic
+from .engine import (  # analyze_all_moves is named here for the benchmark's tracer, which wraps it
+    AnalysisCache,
+    EngineError,
+    analyze_all_moves,
+    analyze_positions,
+    best_move,
+    start_engine,
+)
+from .jsonlog import append_row
 from .players import (
     HISTORY_PGN,
     HttpChatTransport,
@@ -363,18 +372,25 @@ def play_game(
 
 
 def annotate_record(record: GameRecord, handle, depth: int, cache: AnalysisCache | None = None) -> None:
-    """Post-game oracle annotation: per-ply Q and top-3 membership."""
+    """Post-game oracle annotation: per-ply Q and top-3 membership. The cache
+    is read for every distinct position first; the misses are then searched
+    in ply order, one queued ahead, and each is cached as it arrives."""
     engine_id = getattr(handle, "name", "engine")
+    tables = {}
     for ply in record.plies:
-        if ply.move is None:
-            continue
-        table = cache.get(engine_id, ply.fen_before, depth) if cache else None
-        if table is None:
-            table = analyze_all_moves(handle, ply.fen_before, depth)
+        if ply.move is not None and ply.fen_before not in tables:
+            tables[ply.fen_before] = cache.get(engine_id, ply.fen_before, depth) if cache else None
+    misses = [fen for fen, table in tables.items() if table is None]
+    with contextlib.closing(analyze_positions(handle, misses, depth)) as analyses:
+        for table in analyses:
+            tables[table.fen] = table
             if cache:
                 cache.put(engine_id, table)
-        ply.q = table.q_for(ply.move)
-        ply.in_top3 = table.is_top(ply.move)
+    for ply in record.plies:
+        if ply.move is not None:
+            table = tables[ply.fen_before]
+            ply.q = table.q_for(ply.move)
+            ply.in_top3 = table.is_top(ply.move)
 
 
 def annotate_games(records, handle, depth: int, run_dir: RunDir) -> None:
@@ -395,6 +411,14 @@ def annotate_games(records, handle, depth: int, run_dir: RunDir) -> None:
 
 # ---------------------------------------------------------------------------
 # Persistence
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a `.tmp` sibling, then rename it over `path`: readers
+    see the old file or the new one, never a torn one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
 
 
 class GameFileError(ValueError):
@@ -523,8 +547,7 @@ class RunDir:
         return pool_from_json((self.root / "pool.json").read_text())
 
     def append_round(self, entry: dict) -> None:
-        with open(self.root / "rounds.jsonl", "a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        append_row(self.root / "rounds.jsonl", entry)
 
     def reset_rounds(self) -> None:
         path = self.root / "rounds.jsonl"

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import arena, evals
 from .core import BoardState
 from .engine import EngineError, analyze_all_moves, start_engine
+from .jsonlog import LogFileError
 from .players import LLM_API, HttpChatTransport, PlayerSpec, RANDOM, TransportError, UCI_ENGINE
 from .rating import PoolEntry, RatingConfig, RatingState
 
@@ -497,7 +498,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, arena.GameFileError) as exc:
+    except (UserError, arena.GameFileError, LogFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EngineError, TransportError) as exc:

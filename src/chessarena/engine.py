@@ -2,13 +2,12 @@
 legal moves, win-rate mapping, best-move queries, and an on-disk analysis
 cache.
 
-One handle serves one search at a time; use a handle per worker for
-concurrent analyses.
+One handle serves one caller at a time; use a handle per worker for
+concurrent analyses. A run of analyses keeps one search queued ahead.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -22,7 +21,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import BoardState, MoveToken, legal_moves, parse_fen
+from .core import BoardState, ChessError, MoveToken, legal_moves, parse_fen
+from .jsonlog import LogFileError, append_row, read_rows
 
 DEFAULT_HANDSHAKE_TIMEOUT = 10.0
 DEFAULT_SEARCH_TIMEOUT = 600.0
@@ -241,6 +241,14 @@ class EngineHandle:
         self.send("ucinewgame")
         self.sync()
 
+    def skip_answers(self, searches: int, timeout: float) -> None:
+        """Read past the answers of `searches` searches already sent, up to
+        each one's `bestmove`, so none of their lines answers a later search.
+        A dead handle has nothing left to read."""
+        while searches and not self._dead:
+            if self.read_line(timeout).startswith("bestmove"):
+                searches -= 1
+
     def quit(self) -> None:
         try:
             if self._proc.poll() is None:
@@ -334,28 +342,53 @@ def analyze_all_moves(
     timeout: float = DEFAULT_SEARCH_TIMEOUT,
 ) -> AnalysisTable:
     """Evaluate every legal move of the position via MultiPV search."""
+    (table,) = analyze_positions(handle, [fen], depth, timeout)
+    return table
+
+
+def analyze_positions(handle: EngineHandle, fens, depth: int, timeout: float = DEFAULT_SEARCH_TIMEOUT):
+    """Yield the analysis of each of `fens`, in order, with the next search
+    queued before an answer is read: the engine computes it while this side
+    parses. At most one search is ahead, so neither pipe can fill. When a
+    search fails or the caller stops early, the searches already sent are
+    read to their `bestmove` first, so no later search reads their lines."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    legal = legal_moves(parse_fen(fen))
-    if not legal:
-        raise EngineError(f"position has no legal moves: {fen}")
-    legal_ucis = {mv.uci: mv for mv in legal}
-    handle.set_option("MultiPV", len(legal))  # the engine applies it before the search
-    handle.send(f"position fen {fen}")
-    handle.send(f"go depth {depth}")
+    searches = deque()
+    for fen in fens:
+        legal = legal_moves(parse_fen(fen))
+        if not legal:
+            raise EngineError(f"position has no legal moves: {fen}")
+        searches.append((fen, {mv.uci: mv for mv in legal}))
+    sent = deque()  # searches whose bestmove is not read yet
+    try:
+        while sent or searches:
+            while searches and len(sent) < 2:  # the one read next, and one ahead
+                fen, legal_ucis = searches.popleft()
+                handle.set_option("MultiPV", len(legal_ucis))  # the engine applies it before the search
+                handle.send(f"position fen {fen}")
+                handle.send(f"go depth {depth}")
+                sent.append((fen, legal_ucis))
+            best: dict = {}  # multipv index -> info
+            while True:
+                line = handle.read_line(timeout)
+                if line.startswith("bestmove"):
+                    break
+                info = _parse_info_line(line)
+                if info is None:
+                    continue
+                prev = best.get(info["multipv"])
+                if prev is None or info["depth"] >= prev["depth"]:
+                    best[info["multipv"]] = info
+            fen, legal_ucis = sent.popleft()
+            yield _analysis_table(fen, depth, legal_ucis, best)
+    finally:
+        handle.skip_answers(len(sent), timeout)
 
-    best: dict = {}  # multipv index -> info
-    while True:
-        line = handle.read_line(timeout)
-        if line.startswith("bestmove"):
-            break
-        info = _parse_info_line(line)
-        if info is None:
-            continue
-        prev = best.get(info["multipv"])
-        if prev is None or info["depth"] >= prev["depth"]:
-            best[info["multipv"]] = info
 
+def _analysis_table(fen: str, depth: int, legal_ucis: dict, best: dict) -> AnalysisTable:
+    """The table of one search's last info line per MultiPV index, which must
+    name every legal move once."""
     evals = []
     seen = set()
     for info in best.values():
@@ -393,6 +426,8 @@ def best_move(
             parts.extend([key, str(limits[key])])
     if len(parts) == 1:
         raise ValueError(f"no usable limit in {limits!r}")
+    if getattr(handle, "options", {}).get("MultiPV", 1) != 1:  # left over from an analysis
+        handle.set_option("MultiPV", 1)
     handle.send(f"position fen {fen}")
     handle.send(" ".join(parts))
     line = handle.expect("bestmove", timeout)[-1]
@@ -406,34 +441,39 @@ def best_move(
 
 
 class AnalysisCache:
-    """Disk cache of AnalysisTable JSON keyed by (engine id, fen, depth)."""
+    """AnalysisTables keyed by (engine id, fen, depth), kept in one
+    append-only log under `root`. The log is read once, into an index of each
+    row's text, so `get` never reads the disk and `put` appends one row. The
+    index holds text, not tables: a parsed table takes several times the
+    memory of its row."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, engine_id: str, fen: str, depth: int) -> Path:
-        digest = hashlib.sha1(f"{engine_id}|{fen}|{depth}".encode()).hexdigest()
-        return self.root / f"{digest}.json"
+        self._log = self.root / "analyses.jsonl"
+        self._rows: dict = {}  # (engine id, fen, depth) -> (line number, row text)
+        self._count = 0  # rows in the log
+        for text, row in read_rows(self._log):
+            self._count += 1
+            try:
+                self._rows[row["engine"], row["fen"], row["depth"]] = (self._count, text)
+            except (KeyError, TypeError) as exc:  # a key field missing or unhashable
+                raise LogFileError(self._log, self._count, exc) from None
 
     def get(self, engine_id: str, fen: str, depth: int) -> AnalysisTable | None:
-        try:
-            data = json.loads(self._path(engine_id, fen, depth).read_text())
-        except (FileNotFoundError, ValueError):  # missing, or torn: a miss
+        entry = self._rows.get((engine_id, fen, depth))
+        if entry is None:
             return None
-        return table_from_dict(data)
+        number, text = entry
+        try:
+            return table_from_dict(json.loads(text))
+        except (KeyError, TypeError, ValueError, ChessError) as exc:
+            raise LogFileError(self._log, number, exc) from None
 
     def put(self, engine_id: str, table: AnalysisTable) -> None:
-        path = self._path(engine_id, table.fen, table.depth)
-        write_atomic(path, json.dumps(table_to_dict(table), indent=2, sort_keys=True))
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write `text` to a `.tmp` sibling, then rename it over `path`: readers
-    see the old file or the new one, never a torn one."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+        text = append_row(self._log, {"engine": engine_id, **table_to_dict(table)})
+        self._count += 1
+        self._rows[(engine_id, table.fen, table.depth)] = (self._count, text)
 
 
 def table_to_dict(table: AnalysisTable) -> dict:

@@ -1,5 +1,6 @@
 import random
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,47 @@ class FlakyTransport:
             self.failures -= 1
             raise TransportError("synthetic outage")
         return self.inner.complete(messages)
+
+
+def listing_engine(tmp_path, bad_search=0, bad_line=""):
+    """A UCI engine that logs each command it reads to `tmp_path/commands.log`
+    and answers its n-th search with every legal move at `score cp n` (so a
+    table tells which search answered it); search `bad_search` starts with
+    `bad_line`."""
+    path = tmp_path / "listing_engine.py"
+    path.write_text(
+        textwrap.dedent(
+            f"""\
+            import sys
+            from chessarena.core import legal_moves, parse_fen
+
+            log = open({str(tmp_path / "commands.log")!r}, "a")
+            searches = 0
+            for line in sys.stdin:
+                t = line.strip()
+                log.write(t + "\\n")
+                log.flush()
+                if t == "uci":
+                    print("id name Listing")
+                    print("uciok", flush=True)
+                elif t == "isready":
+                    print("readyok", flush=True)
+                elif t.startswith("position fen "):
+                    fen = t[len("position fen "):]
+                elif t.startswith("go"):
+                    searches += 1
+                    rows = [{bad_line!r}] if searches == {bad_search} else []
+                    moves = legal_moves(parse_fen(fen))
+                    rows += [f"info depth 1 multipv {{i}} score cp {{searches}} pv {{m.uci}}"
+                             for i, m in enumerate(moves, 1)]
+                    rows.append(f"bestmove {{moves[0].uci}}")
+                    print("\\n".join(rows), flush=True)
+                elif t == "quit":
+                    break
+            """
+        )
+    )
+    return [sys.executable, str(path)]
 
 
 @pytest.fixture

@@ -30,11 +30,11 @@ from chessarena.arena import (
     verify_replay,
 )
 from chessarena.core import FORFEIT, FIVEFOLD_REPETITION
-from chessarena.engine import analyze_all_moves, best_move
+from chessarena.engine import AnalysisCache, EngineProtocolError, analyze_all_moves, best_move, start_engine
 from chessarena.players import ChatResponse, PlayerSpec
 from chessarena.rating import MatchOutcome, PoolEntry, RatingConfig, RatingState
 
-from conftest import TOY_ENGINE_CMD, LoopingTransport, ScriptedTransport
+from conftest import TOY_ENGINE_CMD, LoopingTransport, ScriptedTransport, listing_engine
 from oracle_glicko import ref_update
 
 FORFEIT_JUNK = ["junk"] * 5
@@ -218,10 +218,11 @@ def test_torn_cache_file_is_a_miss(tmp_path, toy_handle):
     (path,) = cache.root.iterdir()
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
-    assert cache.get("toy", fen, 1) is None
-    cache.put("toy", table)
-    assert cache.get("toy", fen, 1) == table
+    assert AnalysisCache(tmp_path / "cache").get("toy", fen, 1) is None  # torn: a miss on reload
+    AnalysisCache(tmp_path / "cache").put("toy", table)
+    assert AnalysisCache(tmp_path / "cache").get("toy", fen, 1) == table
     assert [p.name for p in cache.root.iterdir()] == [path.name]
+    assert path.read_text() == text
 
 
 def test_verify_replay_catches_corruption():
@@ -386,11 +387,72 @@ def test_annotation_uses_cache(tmp_path, toy_handle):
     record = play_game(registry.player("rand-0"), registry.player("rand-1"), GameConfig(ply_cap=10), seed=8)
     cache = AnalysisCache(tmp_path / "cache")
     annotate_record(record, toy_handle, depth=1, cache=cache)
-    cached_files = list((tmp_path / "cache").glob("*.json"))
-    assert len(cached_files) == len(record.plies)
+    cached_rows = (tmp_path / "cache" / "analyses.jsonl").read_text().splitlines()
+    assert len(cached_rows) == len({p.fen_before for p in record.plies}) == len(record.plies)
     qs = [p.q for p in record.plies]
     annotate_record(record, toy_handle, depth=1, cache=cache)  # second pass hits the cache
     assert [p.q for p in record.plies] == qs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_queued_annotation_equals_per_ply_analysis(toy_handle, seed):
+    registry = PlayerRegistry(random_specs())
+    record = play_game(registry.player("rand-0"), registry.player("rand-1"), GameConfig(ply_cap=40), seed=seed)
+    annotate_record(record, toy_handle, depth=2)
+    for ply in record.plies:
+        table = analyze_all_moves(toy_handle, ply.fen_before, 2)
+        assert (ply.q, ply.in_top3) == (table.q_for(ply.move), table.is_top(ply.move))
+
+
+def _annotate_ply_by_ply(record, handle, depth, cache):
+    """Annotation as a per-ply loop: each miss searched and cached before the
+    next ply is looked up."""
+    for ply in record.plies:
+        table = cache.get(handle.name, ply.fen_before, depth)
+        if table is None:
+            table = analyze_all_moves(handle, ply.fen_before, depth)
+            cache.put(handle.name, table)
+        ply.q, ply.in_top3 = table.q_for(ply.move), table.is_top(ply.move)
+
+
+def test_queued_annotation_sends_the_per_ply_loops_commands(tmp_path):
+    registry = PlayerRegistry(random_specs())
+    records = [
+        play_game(registry.player("rand-0"), registry.player("rand-1"), GameConfig(ply_cap=12), seed=seed)
+        for seed in (3, 4)
+    ]
+    runs = []
+    for name, annotate in (("loop", _annotate_ply_by_ply), ("queued", annotate_record)):
+        (tmp_path / name).mkdir()
+        handle = start_engine(listing_engine(tmp_path / name))
+        try:
+            cache = AnalysisCache(tmp_path / name / "cache")
+            for ply in records[1].plies[2::3]:  # some positions are cached before annotation
+                cache.put(handle.name, analyze_all_moves(handle, ply.fen_before, 2))
+            for record in records:
+                annotate(record, handle, 2, cache)
+        finally:
+            handle.quit()
+        annotations = [(p.q, p.in_top3) for r in records for p in r.plies]
+        runs.append(((tmp_path / name / "commands.log").read_text(), annotations))
+    assert runs[0] == runs[1]
+    commands = runs[0][0].splitlines()
+    assert commands.count("go depth 2") == len({p.fen_before for r in records for p in r.plies})
+
+
+def test_analyses_before_an_engine_failure_stay_in_the_log(tmp_path):
+    registry = PlayerRegistry(random_specs())
+    record = play_game(registry.player("rand-0"), registry.player("rand-1"), GameConfig(ply_cap=6), seed=5)
+    handle = start_engine(listing_engine(tmp_path, bad_search=2, bad_line="info depth x score cp 10 pv e2e4"))
+    try:
+        with pytest.raises(EngineProtocolError):
+            annotate_record(record, handle, 1, AnalysisCache(tmp_path / "cache"))
+    finally:
+        handle.quit()
+    cache = AnalysisCache(tmp_path / "cache")
+    fens = [ply.fen_before for ply in record.plies]
+    assert cache.get("Listing", fens[0], 1) is not None
+    assert [cache.get("Listing", fen, 1) for fen in fens[1:]] == [None] * (len(fens) - 1)
 
 
 def test_game_ids_are_content_addressed():

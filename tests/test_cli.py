@@ -428,6 +428,20 @@ def test_reannotating_a_finished_run_dir_writes_no_game_file(tmp_path, monkeypat
     assert {path: path.read_bytes() for path in (run_dir / "games").glob("*.jsonl")} == games
 
 
+def test_a_bad_analysis_log_row_is_a_user_error(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, n_random=2,
+                          extra={"ply_cap": 8, "engine": {"path": TOY_CMD, "depth": 1}})
+    args = ["match", "--config", str(config), "--white", "rand-0", "--black", "rand-1", "--annotate"]
+    assert main(args) == 0
+    log = run_dir / "analysis" / "analyses.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text(lines[0] + lines[1][:40] + "\n" + "".join(lines[2:]))
+    capsys.readouterr()
+    err = _one_error_line(capsys, args)
+    assert err.startswith(f"error: {log}:2: JSONDecodeError")
+
+
 def test_tournament_annotation_skips_an_unfinished_game_file(tmp_path):
     run_dir = tmp_path / "run"
     (run_dir / "games").mkdir(parents=True)

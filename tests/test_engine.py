@@ -16,6 +16,7 @@ from chessarena.engine import (
     EngineProtocolError,
     Score,
     analyze_all_moves,
+    analyze_positions,
     best_move,
     start_engine,
     table_from_dict,
@@ -25,7 +26,9 @@ from chessarena.engine import (
 )
 from chessarena.players import ChatResponse, PlayerSpec
 
-from conftest import TOY_ENGINE_CMD, playout
+from chessarena.jsonlog import LogFileError
+
+from conftest import TOY_ENGINE_CMD, listing_engine, playout
 
 MATE_IN_1 = "r1bqkbnr/pppp1ppp/2n5/4p3/2B1P3/5Q2/PPPP1PPP/RNB1K1NR w KQkq - 4 4"
 
@@ -260,6 +263,101 @@ def test_analysis_cache_round_trip(tmp_path, toy_handle):
     assert cache.get("toy", fen, 2) is None
 
 
+def test_analysis_cache_reloads_its_log(tmp_path, toy_handle):
+    cache = AnalysisCache(tmp_path)
+    fens = [MATE_IN_1] + [playout(seed, 12).fen for seed in range(5)]
+    tables = [analyze_all_moves(toy_handle, fen, depth=2) for fen in fens]
+    for table in tables:
+        cache.put("toy", table)
+    reloaded = AnalysisCache(tmp_path)
+    assert [reloaded.get("toy", t.fen, 2) for t in tables] == tables
+    assert [p.name for p in tmp_path.iterdir()] == ["analyses.jsonl"]
+    assert len((tmp_path / "analyses.jsonl").read_text().splitlines()) == len(tables)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        (b"{not json", "JSONDecodeError"),
+        (b"\xff\xfe", "UnicodeDecodeError"),
+        (b"[1, 2]", "not a JSON object"),
+        (b'{"fen": "x", "depth": 1}', "KeyError: 'engine'"),
+    ],
+    ids=["not-json", "not-utf8", "not-an-object", "no-engine"],
+)
+def test_a_bad_middle_cache_row_names_file_and_line(tmp_path, toy_handle, row, error):
+    cache = AnalysisCache(tmp_path)
+    for seed in range(2):
+        cache.put("toy", analyze_all_moves(toy_handle, playout(seed, 4).fen, depth=1))
+    log = tmp_path / "analyses.jsonl"
+    first, second = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(first + row + b"\n" + second)
+    with pytest.raises(LogFileError, match=f"^{log}:2: .*{error}"):
+        AnalysisCache(tmp_path)
+
+
+def test_a_bad_table_in_a_cache_row_names_file_and_line(tmp_path, toy_handle):
+    table = analyze_all_moves(toy_handle, playout(1, 4).fen, depth=1)
+    AnalysisCache(tmp_path).put("toy", table)
+    log = tmp_path / "analyses.jsonl"
+    log.write_text(log.read_text().replace('"kind": "cp"', '"kind": "pawns"', 1))
+    with pytest.raises(LogFileError, match=f"^{log}:1: ValueError: bad score kind"):
+        AnalysisCache(tmp_path).get("toy", table.fen, 1)
+
+
+@pytest.mark.parametrize(
+    "bad_line, match",
+    [
+        ("info depth x score cp 10 pv e2e4", "malformed info line"),
+        ("info depth 1 multipv 99 score cp 0 pv a1a8", "illegal move"),
+    ],
+    ids=["malformed", "illegal"],
+)
+def test_a_failed_queued_search_leaves_no_stale_lines(tmp_path, bad_line, match):
+    fens = [playout(seed, 6).fen for seed in range(4)]
+    handle = start_engine(listing_engine(tmp_path, bad_search=2, bad_line=bad_line))
+    try:
+        done = []
+        with pytest.raises(EngineProtocolError, match=match):
+            for table in analyze_positions(handle, fens[:3], depth=1):
+                done.append(table.fen)
+        assert done == fens[:1]
+        # Search 3 was queued when search 2 failed; its lines are read, not left for search 4.
+        table = analyze_all_moves(handle, fens[3], depth=1)
+        assert table.fen == fens[3] and {ev.score.value for ev in table.evals} == {4}
+    finally:
+        handle.quit()
+
+
+def test_a_search_left_queued_is_read_before_the_next(tmp_path):
+    fens = [playout(seed, 6).fen for seed in range(3)]
+    handle = start_engine(listing_engine(tmp_path))
+    try:
+        analyses = analyze_positions(handle, fens[:2], depth=1)
+        assert next(analyses).fen == fens[0]
+        analyses.close()  # the caller stops while search 2 is queued
+        table = analyze_all_moves(handle, fens[2], depth=1)
+        assert table.fen == fens[2] and {ev.score.value for ev in table.evals} == {3}
+    finally:
+        handle.quit()
+
+
+def test_best_move_after_an_analysis_searches_at_multipv_1():
+    handle, fresh = start_engine(TOY_ENGINE_CMD), start_engine(TOY_ENGINE_CMD)
+    try:
+        analyze_all_moves(handle, BoardState.start().fen, depth=2)
+        assert handle.options["MultiPV"] == 20
+        for seed in range(12):
+            board = playout(seed, 10)
+            if legal_moves(board):
+                assert best_move(handle, board, {"depth": 3}) == best_move(fresh, board, {"depth": 3})
+        assert handle.options["MultiPV"] == 1
+        assert "MultiPV" not in fresh.options  # a handle that never analysed sends no MultiPV
+    finally:
+        handle.quit()
+        fresh.quit()
+
+
 def test_table_serialization_round_trip(toy_handle):
     table = analyze_all_moves(toy_handle, MATE_IN_1, depth=4)
     assert table_to_dict(table_from_dict(table_to_dict(table))) == table_to_dict(table)
@@ -469,7 +567,8 @@ def test_a_partial_last_line_before_eof_is_delivered(tmp_path):
         handle.quit()
 
 
-def test_each_request_leaves_in_one_write(monkeypatch, toy_handle):
+def test_each_request_leaves_in_one_write(monkeypatch):
+    handle = start_engine(TOY_ENGINE_CMD)  # fresh: the module's handle has analysed, so its MultiPV is not 1
     writes = []
 
     def recording_write(fd, data):
@@ -478,12 +577,39 @@ def test_each_request_leaves_in_one_write(monkeypatch, toy_handle):
 
     monkeypatch.setattr(engine_module, "os", SimpleNamespace(write=recording_write, read=os.read))
     fen = BoardState.start().fen
-    best_move(toy_handle, BoardState.start(), {"depth": 2})
-    analyze_all_moves(toy_handle, fen, depth=1)
+    try:
+        best_move(handle, BoardState.start(), {"depth": 2})
+        analyze_all_moves(handle, fen, depth=1)
+        best_move(handle, BoardState.start(), {"depth": 2})
+    finally:
+        monkeypatch.undo()
+        handle.quit()
     assert writes == [
         f"position fen {fen}\ngo depth 2\n".encode(),
         f"setoption name MultiPV value 20\nposition fen {fen}\ngo depth 1\n".encode(),  # no isready
+        f"setoption name MultiPV value 1\nposition fen {fen}\ngo depth 2\n".encode(),
     ]
+
+
+def test_queued_searches_leave_one_ahead(monkeypatch, toy_handle):
+    writes = []
+
+    def recording_write(fd, data):
+        writes.append(bytes(data))
+        return os.write(fd, data)
+
+    fens = [playout(seed, 8).fen for seed in range(3)]
+    request = [
+        f"setoption name MultiPV value {len(legal_moves(parse_fen(fen)))}\nposition fen {fen}\ngo depth 1\n"
+        for fen in fens
+    ]
+    monkeypatch.setattr(engine_module, "os", SimpleNamespace(write=recording_write, read=os.read))
+    analyses = analyze_positions(toy_handle, fens, depth=1)
+    assert next(analyses).fen == fens[0]
+    # The second search is queued before the first answer is read.
+    assert writes == [(request[0] + request[1]).encode()]
+    assert [table.fen for table in analyses] == fens[1:]
+    assert writes[1:] == [request[2].encode()]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc")
