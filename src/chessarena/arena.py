@@ -113,11 +113,14 @@ class PlyRecord:
 
 @dataclass
 class GameRecord:
+    """One game. `plies` is None on a record read from its file's header and
+    footer rows only (`RunDir.read_result`)."""
+
     game_id: str
     white_id: str
     black_id: str
     seed: int
-    plies: list
+    plies: list | None
     termination: Termination | None
     result_white: float | None
     started_at: float
@@ -467,11 +470,16 @@ def _attempt(row) -> MoveAttempt:
     return MoveAttempt(**row)
 
 
-def decode_game(lines, where) -> GameRecord | None:
+def _bad_row(where, number: int, exc: Exception) -> GameFileError:
+    return GameFileError(f"{where}:{number}: {type(exc).__name__}: {exc}")
+
+
+def decode_result(lines, where) -> GameRecord | None:
     """The game `encode_game` wrote as `lines` (text, or bytes when the file
-    is not UTF-8). None when the last line is not a footer row (missing, torn
-    or not UTF-8): the game is unfinished. Any other row that does not decode
-    raises GameFileError naming `where` and the line."""
+    is not UTF-8), from its header and footer rows only: a record whose
+    `plies` is None. None when the last line is not a footer row (missing,
+    torn or not UTF-8): the game is unfinished. A header or footer row that
+    does not decode raises GameFileError naming `where` and the line."""
     try:
         footer = _row(lines[-1], "footer")
     except (IndexError, ValueError):
@@ -486,14 +494,9 @@ def decode_game(lines, where) -> GameRecord | None:
             "seed": header["seed"],
             "started_at": header["started_at"],
         }
-        plies = []
-        for number, line in enumerate(lines[1:-1], 2):
-            row = _row(line, "ply")
-            attempts = tuple(map(_attempt, row.pop("attempts")))
-            plies.append(PlyRecord(attempts=attempts, **row))
         number = len(lines)
         return GameRecord(
-            plies=plies,
+            plies=None,
             termination=Termination(footer["termination"], footer["winner"]) if footer["termination"] else None,
             result_white=footer["result_white"],
             finished_at=footer["finished_at"],
@@ -501,8 +504,41 @@ def decode_game(lines, where) -> GameRecord | None:
             error=footer["error"],
             **started,
         )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _bad_row(where, number, exc) from None
+
+
+def decode_game(lines, where) -> GameRecord | None:
+    """The game `encode_game` wrote as `lines`, plies included: the record of
+    `decode_result`, whose errors it raises, and then every ply row. A ply
+    row that does not decode raises GameFileError naming `where` and the
+    line."""
+    record = decode_result(lines, where)
+    if record is None:
+        return None
+    plies = []
+    try:
+        for number, line in enumerate(lines[1:-1], 2):
+            row = _row(line, "ply")
+            attempts = tuple(map(_attempt, row.pop("attempts")))
+            plies.append(PlyRecord(attempts=attempts, **row))
     except (KeyError, TypeError, ValueError, ChessError) as exc:
-        raise GameFileError(f"{where}:{number}: {type(exc).__name__}: {exc}") from None
+        raise _bad_row(where, number, exc) from None
+    record.plies = plies
+    return record
+
+
+def _game_lines(path: Path) -> list:
+    """The lines of the game file at `path`: text, or bytes when the file is
+    not UTF-8; none when it is missing."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    try:
+        return data.decode().splitlines()
+    except UnicodeDecodeError:  # decode row by row, so only the bad row fails
+        return data.splitlines()
 
 
 class RunDir:
@@ -527,15 +563,13 @@ class RunDir:
     def read_game(self, game_id: str) -> GameRecord | None:
         """The finished game `game_id`, or None when its file is missing or unfinished."""
         path = self.game_path(game_id)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        try:
-            lines = data.decode().splitlines()
-        except UnicodeDecodeError:  # decode row by row, so only the bad row fails
-            lines = data.splitlines()
-        return decode_game(lines, path)
+        return decode_game(_game_lines(path), path)
+
+    def read_result(self, game_id: str) -> GameRecord | None:
+        """The finished game `game_id` without its plies (`plies` is None),
+        decoded from its header and footer rows; None as for `read_game`."""
+        path = self.game_path(game_id)
+        return decode_result(_game_lines(path), path)
 
     def game_ids(self) -> list:
         return sorted(p.stem for p in self.games.glob("*.jsonl"))
@@ -599,7 +633,8 @@ def run_match(
     """Play an even number of games with alternating colors, then update both
     players' ratings from pre-game snapshots, game by game in index order.
 
-    Finished games are read back from `run_dir` instead of played. When a
+    Finished games are read back from `run_dir` instead of played, from
+    their header and footer rows only: their records' `plies` is None. When a
     model player meets a non-engine player, the unfinished games play at
     once, one thread per game, so their transport waits overlap; other
     matches play in order on the calling thread. An exception other than a
@@ -614,7 +649,7 @@ def run_match(
         white_id, black_id = (req.a_id, req.b_id) if index % 2 == 0 else (req.b_id, req.a_id)
         game_seed = derive_seed(seed, f"game:{index}")
         games.append((game_id_for(white_id, black_id, game_seed, index), white_id, black_id, game_seed))
-    records = [run_dir.read_game(game[0]) if run_dir is not None else None for game in games]
+    records = [run_dir.read_result(game[0]) if run_dir is not None else None for game in games]
     for game, record in zip(games, records):
         if record is not None and (record.game_id, record.white_id, record.black_id, record.seed) != game:
             gid, white_id, black_id, game_seed = game

@@ -194,6 +194,10 @@ def cmd_match(args) -> int:
     with _oracle(cfg, args.annotate) as oracle:
         with arena.PlayerRegistry(cfg.players) as registry:
             records = arena.run_match(req, pool, cfg.game_config, registry, run_dir=run_dir, seed=seed)
+        # Resumed games come back without their plies, which annotation and
+        # the per-game line need; a ply row that does not decode stops here,
+        # before any file is written.
+        records = [run_dir.read_game(r.game_id) if r.plies is None else r for r in records]
         if oracle is not None:
             arena.annotate_games(records, oracle, cfg.engine.depth, run_dir)
     run_dir.write_pool(pool)

@@ -671,7 +671,7 @@ def test_resumed_engine_match_starts_no_engine(tmp_path, monkeypatch):
     monkeypatch.setattr(arena, "start_engine", no_engine)
     with PlayerRegistry(specs, transports={"model": HashedTransport()}) as registry:
         again = run_match(req, fresh_pool(specs), GameConfig(ply_cap=12), registry, run_dir=run_dir, seed=6)
-    assert again == first
+    assert again == [dataclasses.replace(r, plies=None) for r in first]  # resume reads no ply row
 
 
 def test_model_match_raises_a_game_error_once_the_other_game_ends(tmp_path):

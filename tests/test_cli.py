@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -461,12 +462,12 @@ def test_tournament_rerun_stops_on_a_garbled_game_row(tmp_path, capsys):
     first_game = json.loads((run_dir / "rounds.jsonl").read_text().splitlines()[0])["games"][0]
     game_file = run_dir / "games" / f"{first_game}.jsonl"
     lines = game_file.read_text().splitlines()
-    lines[2] = lines[2].replace('"ply": ', '"plyy": ')
+    lines[0] = lines[0].replace('"seed": ', '"seedd": ')  # resume decodes the header row
     game_file.write_text("\n".join(lines) + "\n")
     files = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run_dir.rglob("*") if p.is_file()}
     capsys.readouterr()
     err = _one_error_line(capsys, args)
-    assert err.startswith(f"error: {game_file}:3: ")
+    assert err.startswith(f"error: {game_file}:1: ")
     # Every other file stays as it was; the next test checks the rounds log.
     del files[run_dir / "rounds.jsonl"]
     assert files == {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run_dir.rglob("*")
@@ -483,11 +484,11 @@ def test_tournament_rerun_stopped_in_round_0_keeps_the_rounds_log(tmp_path, caps
     first_game = json.loads(logged.splitlines()[0])["games"][0]
     game_file = run_dir / "games" / f"{first_game}.jsonl"
     lines = game_file.read_text().splitlines()
-    lines[2] = lines[2].replace('"ply": ', '"plyy": ')
+    lines[0] = lines[0].replace('"seed": ', '"seedd": ')  # resume decodes the header row
     game_file.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     err = _one_error_line(capsys, args)
-    assert err.startswith(f"error: {game_file}:3: ")
+    assert err.startswith(f"error: {game_file}:1: ")
     assert rounds.read_bytes() == logged
 
 
@@ -515,3 +516,53 @@ def test_match_rerun_stops_on_a_game_header_that_is_not_the_derived_game(tmp_pat
     err = _one_error_line(capsys, args)
     assert err.startswith(f"error: {game_file}: header is game ")
     assert files == {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run_dir.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["match", "--white", "rand-0", "--black", "rand-1", "--n", "4"],
+        ["match", "--white", "rand-0", "--black", "rand-1", "--annotate"],
+        ["tournament", "--rounds", "2", "--annotate"],
+    ],
+    ids=["match", "match-annotate", "tournament-annotate"],
+)
+def test_rerun_that_reads_plies_stops_on_a_garbled_ply_row(tmp_path, capsys, argv):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, n_random=2,
+                          extra={"ply_cap": 12, "engine": {"path": TOY_CMD, "depth": 1}})
+    args = argv + ["--config", str(config), "--seed", "3"]
+    assert main(args) == 0
+    game_file = sorted((run_dir / "games").glob("*.jsonl"))[0]
+    lines = game_file.read_text().splitlines()
+    lines[2] = lines[2].replace('"ply": ', '"plyy": ')
+    game_file.write_text("\n".join(lines) + "\n")
+    files = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    stamps = {p: p.stat().st_mtime_ns for p in files}
+    capsys.readouterr()
+    err = _one_error_line(capsys, args)
+    assert err.startswith(f"error: {game_file}:3: ")
+    assert files == {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    # A tournament rewrites its pool, leaderboard and rounds log (same bytes)
+    # before annotation reads the games; a match writes nothing.
+    rewritten = set()
+    if argv[0] == "tournament":
+        rewritten = {"pool.json", "leaderboard.md", "leaderboard.json", "rounds.jsonl"}
+    assert {p: t for p, t in stamps.items() if p.name not in rewritten} == {
+        p: p.stat().st_mtime_ns for p in files if p.name not in rewritten
+    }
+
+
+def test_match_rerun_prints_the_game_lines_of_the_first_run(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, extra={"ply_cap": 20})
+    args = ["match", "--config", str(config), "--white", "rand-0", "--black", "rand-1", "--n", "4"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    stamps = {p: p.stat().st_mtime_ns for p in (run_dir / "games").glob("*.jsonl")}
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+    assert stamps == {p: p.stat().st_mtime_ns for p in (run_dir / "games").glob("*.jsonl")}
+    for line in first.splitlines():
+        plies, path = line.rsplit(" (", 1)[1].split(" plies) ")
+        assert int(plies) == len(Path(path).read_text().splitlines()) - 2 > 0

@@ -2,6 +2,7 @@
 and writes built on them."""
 
 import collections
+import dataclasses
 import json
 import pathlib
 import re
@@ -9,6 +10,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chessarena.arena as arena
 from chessarena.arena import (
     GameConfig,
     GameFileError,
@@ -17,11 +19,13 @@ from chessarena.arena import (
     Player,
     PlayerRegistry,
     RunDir,
+    _game_lines,
     annotate_record,
     encode_game,
     make_player,
     play_game,
     run_match,
+    run_tournament,
 )
 from chessarena.players import ChatResponse, PlayerSpec, TransportError
 from chessarena.rating import PoolEntry, RatingConfig, RatingState
@@ -122,11 +126,9 @@ def fuzz_dir(tmp_path_factory):
     return RunDir(tmp_path_factory.mktemp("fuzz"))
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_damaged_game_file_is_unfinished_a_record_or_a_declared_error(records, fuzz_dir, data):
-    record = data.draw(st.sampled_from(records))
-    clean = encode_game(record).encode()
+def _damage(clean: bytes, data) -> tuple:
+    """The game file's bytes cut short, with one byte flipped, or with one
+    value swapped for another type's, and which of the three it is."""
     kind = data.draw(st.sampled_from(["cut", "flip", "swap"]))
     if kind == "cut":
         at = data.draw(st.integers(0, len(clean)))
@@ -139,6 +141,15 @@ def test_damaged_game_file_is_unfinished_a_record_or_a_declared_error(records, f
         n = data.draw(st.integers(0, len(lines) - 1))
         lines[n] = _swap_value(lines[n], data)
         damaged = ("\n".join(lines) + "\n").encode()
+    return kind, damaged
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_damaged_game_file_is_unfinished_a_record_or_a_declared_error(records, fuzz_dir, data):
+    record = data.draw(st.sampled_from(records))
+    clean = encode_game(record).encode()
+    kind, damaged = _damage(clean, data)
     path = fuzz_dir.game_path(record.game_id)
     path.write_bytes(damaged)
     try:
@@ -150,6 +161,40 @@ def test_damaged_game_file_is_unfinished_a_record_or_a_declared_error(records, f
     if kind == "cut":  # only the final newline may be missing
         assert (loaded is None) == (len(damaged) < len(clean) - 1)
     assert loaded is None or isinstance(loaded, GameRecord)
+
+
+def _read(read, game_id):
+    """What `read` makes of the game file: a record, None, or the message of
+    its GameFileError."""
+    try:
+        return read(game_id)
+    except GameFileError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_result_read_agrees_with_the_full_read(records, fuzz_dir, data):
+    """On a clean or damaged file, the header-and-footer read and the full
+    read both say unfinished, both raise on the same line, or both return the
+    same header and footer fields; except that the full read alone raises on a
+    ply row."""
+    record = data.draw(st.sampled_from(records))
+    clean = encode_game(record).encode()
+    path = fuzz_dir.game_path(record.game_id)
+    for content in (clean, _damage(clean, data)[1]):
+        path.write_bytes(content)
+        full = _read(fuzz_dir.read_game, record.game_id)
+        result = _read(fuzz_dir.read_result, record.game_id)
+        if isinstance(result, GameRecord) and isinstance(full, str):
+            number = int(full.removeprefix(f"{path}:").split(":")[0])
+            assert 1 < number < len(_game_lines(path)), full  # a ply row, never the header or footer
+        elif isinstance(result, GameRecord):
+            assert result.plies is None and result == dataclasses.replace(full, plies=None)
+        else:
+            assert result == full
+        if content == clean:
+            assert full == record and result == dataclasses.replace(record, plies=None)
 
 
 def _drop_key(line: str, key: str) -> bytes:
@@ -197,5 +242,31 @@ def test_resumed_game_files_are_read_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pathlib.Path, "open", counting_open)
     resumed = run_match(req, fresh_pool(), GameConfig(ply_cap=20), registry, run_dir=run_dir, seed=1)
-    assert resumed == first
+    assert resumed == [dataclasses.replace(r, plies=None) for r in first]  # resume reads no ply row
     assert opened == {f"{r.game_id}.jsonl": 1 for r in first}
+
+
+def test_resumed_tournament_decodes_no_ply_row(tmp_path, monkeypatch):
+    pool = [PoolEntry(id=s.id, rating=RatingState.fresh(RatingConfig())) for s in RANDOMS]
+    registry = PlayerRegistry(RANDOMS)
+    run_dir = RunDir(tmp_path)
+    run_tournament(pool, 3, registry, GameConfig(ply_cap=20), seed=2, run_dir=run_dir)
+    played = run_dir.game_ids()
+    opened = collections.Counter()
+    decoded = []
+    path_open = pathlib.Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened[self] += 1
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "open", counting_open)
+    monkeypatch.setattr(arena, "PlyRecord", lambda **row: decoded.append(row))
+    monkeypatch.setattr(arena, "_attempt", lambda row: decoded.append(row))
+    pool = [PoolEntry(id=s.id, rating=RatingState.fresh(RatingConfig())) for s in RANDOMS]
+    run_tournament(pool, 3, registry, GameConfig(ply_cap=20), seed=2, run_dir=run_dir)
+    assert len(played) == 6 and run_dir.game_ids() == played
+    assert decoded == []
+    assert {path: n for path, n in opened.items() if path.parent == run_dir.games} == {
+        run_dir.game_path(gid): 1 for gid in played
+    }
