@@ -41,7 +41,7 @@ from .engine import (  # analyze_all_moves is named here for the benchmark's tra
     best_move,
     start_engine,
 )
-from .jsonlog import append_row
+from .jsonlog import append_row, write_atomic
 from .players import (
     HISTORY_PGN,
     HttpChatTransport,
@@ -414,14 +414,6 @@ def annotate_games(records, handle, depth: int, run_dir: RunDir) -> None:
 
 # ---------------------------------------------------------------------------
 # Persistence
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write `text` to a `.tmp` sibling, then rename it over `path`: readers
-    see the old file or the new one, never a torn one."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
 
 
 class GameFileError(ValueError):

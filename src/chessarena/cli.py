@@ -21,7 +21,7 @@ from pathlib import Path
 from . import arena, evals
 from .core import BoardState
 from .engine import EngineError, analyze_all_moves, start_engine
-from .jsonlog import LogFileError
+from .jsonlog import LogFileError, write_rows
 from .players import LLM_API, HttpChatTransport, PlayerSpec, RANDOM, TransportError, UCI_ENGINE
 from .rating import PoolEntry, RatingConfig, RatingState
 
@@ -175,9 +175,8 @@ def cmd_tournament(args) -> int:
         if oracle is not None:
             records = [r for r in map(run_dir.read_game, run_dir.game_ids()) if r is not None]
             arena.annotate_games(records, oracle, cfg.engine.depth, run_dir)
-    entries = arena.compute_leaderboard(pool, cfg.rating)
-    run_dir.write_leaderboard(entries)
-    print(arena.render_leaderboard(entries))
+    # run_tournament wrote the leaderboard files; this prints the same table.
+    print(arena.render_leaderboard(arena.compute_leaderboard(pool, cfg.rating)))
     print(f"run dir: {run_dir.root}")
     return 0
 
@@ -237,8 +236,11 @@ def _print_game_line(record, run_dir) -> None:
 
 
 def _eval_handle(spec: PlayerSpec):
-    """The engine an engine player searches on; None for other kinds."""
-    return start_engine(spec.engine_command, spec.engine_options) if spec.kind == UCI_ENGINE else None
+    """The engine an engine player searches on, as a context manager; a null
+    context (None) for other kinds."""
+    if spec.kind != UCI_ENGINE:
+        return contextlib.nullcontext()
+    return start_engine(spec.engine_command, spec.engine_options)
 
 
 def _require_file(path, what: str) -> Path:
@@ -260,22 +262,7 @@ def cmd_eval_basic(args) -> int:
         fens = evals.self_play_fens(max(args.n, 50), args.seed)
     items = evals.build_basic_understanding_set(fens, args.n, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        for item in items:
-            fh.write(
-                json.dumps(
-                    {
-                        "fen": item.fen,
-                        "square": item.square,
-                        "expected_piece": item.expected_piece,
-                        "expected_moves": list(item.expected_moves),
-                        "category": item.category,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_rows(out, map(dataclasses.asdict, items))
     print(f"wrote {len(items)} items to {out}")
     if not args.player:
         return 0
@@ -308,17 +295,12 @@ def cmd_eval_moves(args) -> int:
     if not items:
         raise UserError(f"no items in {args.items}")
     spec = _player_spec(cfg, args.player)
-    handle = _eval_handle(spec)
-    try:
+    with _eval_handle(spec) as handle:
         scores = evals.run_move_selection(
             spec, items, handle=handle, rng=random.Random(args.seed), workers=cfg.concurrency
         )
-    finally:
-        if handle:
-            handle.quit()
     report = evals.EvalReport.moves(scores)
     out = Path(args.out or "moves.report.jsonl")
-    out.parent.mkdir(parents=True, exist_ok=True)
     report.write_jsonl(out)
     print(report.render())
     return 0
@@ -338,17 +320,12 @@ def cmd_eval_puzzles(args) -> int:
     if not puzzles:
         raise UserError("no puzzles matched the filters")
     spec = _player_spec(cfg, args.player, depth=args.depth)
-    handle = _eval_handle(spec)
-    try:
+    with _eval_handle(spec) as handle:
         outcomes = evals.run_puzzles(
             spec, puzzles, handle=handle, rng=random.Random(args.seed), workers=cfg.concurrency
         )
-    finally:
-        if handle:
-            handle.quit()
     report = evals.EvalReport.puzzles(outcomes)
     out = Path(args.out or "puzzles.report.jsonl")
-    out.parent.mkdir(parents=True, exist_ok=True)
     report.write_jsonl(out)
     print(report.render())
     return 0
@@ -400,13 +377,10 @@ def cmd_engine_check(args) -> int:
     command = args.engine or cfg.engine.path
     if not command:
         raise UserError("pass --engine or set engine.path in the config")
-    handle = start_engine(command, cfg.engine.options)
-    try:
+    with start_engine(command, cfg.engine.options) as handle:
         table = analyze_all_moves(handle, BoardState.start().fen, depth=min(cfg.engine.depth, 8))
         print(f"engine: {handle.name}")
         print(f"analyzed start position: {len(table.evals)} moves, top {sorted(table.top_moves)}")
-    finally:
-        handle.quit()
     return 0
 
 

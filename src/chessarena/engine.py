@@ -229,17 +229,9 @@ class EngineHandle:
             if line == token or line.startswith(token + " "):
                 return seen
 
-    def sync(self, timeout: float = DEFAULT_HANDSHAKE_TIMEOUT) -> None:
-        self.send("isready")
-        self.expect("readyok", timeout)
-
     def set_option(self, name: str, value) -> None:
         self.send(f"setoption name {name} value {value}")
         self.options[name] = value
-
-    def new_game(self) -> None:
-        self.send("ucinewgame")
-        self.sync()
 
     def skip_answers(self, searches: int, timeout: float) -> None:
         """Read past the answers of `searches` searches already sent, up to
@@ -295,8 +287,9 @@ def start_engine(
                 handle.name = line[len("id name ") :].strip()
         for name, value in (options or {}).items():
             handle.set_option(name, value)
-        handle.sync(handshake_timeout)
-        handle.new_game()
+        handle.send("ucinewgame")
+        handle.send("isready")  # the options, ucinewgame and isready go in one write
+        handle.expect("readyok", handshake_timeout)
     except EngineError:
         handle.quit()
         raise

@@ -31,6 +31,7 @@ from .core import (
     parse_move,
 )
 from .engine import AnalysisTable, table_from_dict, table_to_dict
+from .jsonlog import write_rows
 from .players import (
     BLINDFOLD,
     BLITZ,
@@ -388,21 +389,19 @@ def run_move_selection(
 
 
 def save_move_items(items, path) -> None:
-    with open(path, "w") as fh:
-        for item in items:
-            fh.write(
-                json.dumps(
-                    {
-                        "fen": item.fen,
-                        "history": list(item.history),
-                        "mode": item.mode,
-                        "legal_flag": item.legal_flag,
-                        "table": table_to_dict(item.table),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_rows(
+        path,
+        (
+            {
+                "fen": item.fen,
+                "history": list(item.history),
+                "mode": item.mode,
+                "legal_flag": item.legal_flag,
+                "table": table_to_dict(item.table),
+            }
+            for item in items
+        ),
+    )
 
 
 def _utf8_lines(fh, path):
@@ -696,13 +695,8 @@ class EvalReport:
         return render_report_table(self.task, self.aggregates)
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(
-                json.dumps({"type": "summary", "task": self.task, **self.aggregates}, sort_keys=True)
-                + "\n"
-            )
-            for row in self.rows:
-                fh.write(json.dumps({"type": "item", **row}, sort_keys=True) + "\n")
+        summary = {"type": "summary", "task": self.task, **self.aggregates}
+        write_rows(path, [summary, *({"type": "item", **row} for row in self.rows)])
 
 
 def render_report_table(task: str, aggregates: dict) -> str:

@@ -1,5 +1,7 @@
-"""Append-only JSONL logs: one JSON object per line, each appended in one
-write. A tournament's `rounds.jsonl` and the analysis cache are such logs.
+"""JSONL files: one JSON object per line, keys sorted. `write_rows` replaces
+a whole file (an eval's items or report) through `write_atomic`, as every
+run-dir file is replaced; `append_row` adds one row per write to an
+append-only log (a tournament's `rounds.jsonl`, the analysis cache).
 
 A row counts once its newline is written. An append cut short leaves a last
 row without one: reading drops that torn row and cuts it off the file, so the
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 
 class LogFileError(ValueError):
@@ -18,6 +21,23 @@ class LogFileError(ValueError):
 
     def __init__(self, path, number: int, exc: Exception):
         super().__init__(f"{path}:{number}: {type(exc).__name__}: {exc}")
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a `.tmp` sibling, then rename it over `path`: readers
+    see the old file or the new one, never a torn one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+
+
+def write_rows(path, rows) -> None:
+    """Replace the file at `path`, making its directory, with one row per
+    line. Every row is encoded before any file is touched."""
+    path = Path(path)
+    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, text)
 
 
 def append_row(path, row: dict) -> str:

@@ -116,6 +116,17 @@ def test_tournament_determinism_and_leaderboard(tmp_path, capsys):
     assert "| Rank | Model | Mode | Legal Moves | Rating | RD | Interval | Games |" in out
 
 
+def test_tournament_writes_each_leaderboard_file_once(tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, extra={"ply_cap": 12})
+    written = []
+    real_write = arena.write_atomic
+    monkeypatch.setattr(arena, "write_atomic", lambda path, text: written.append(path) or real_write(path, text))
+    assert main(["tournament", "--config", str(config), "--rounds", "2"]) == 0
+    assert written.count(run_dir / "leaderboard.md") == 1
+    assert written.count(run_dir / "leaderboard.json") == 1
+
+
 def test_tournament_specified_startup(tmp_path):
     run_dir = tmp_path / "run"
     config = write_config(tmp_path, run_dir=run_dir)

@@ -357,6 +357,22 @@ def test_move_items_round_trip(tmp_path):
     assert loaded[0].table.top_moves == items[0].table.top_moves
 
 
+def test_a_move_items_write_that_fails_leaves_the_old_file(tmp_path):
+    rng = random.Random(12)
+    items = [
+        MoveSelectionItem(board.fen, tuple(m.uci for m in moves), "blitz", True, synthetic_table(board.fen, rng))
+        for board, moves in map(playout_with_moves, range(2), [6] * 2)
+    ]
+    path = tmp_path / "items.jsonl"
+    save_move_items(items, path)
+    old = path.read_bytes()
+    bad = replace(items[1], mode={"blitz"})  # a set does not encode
+    with pytest.raises(TypeError):
+        save_move_items([items[0], bad], path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["items.jsonl"]
+
+
 # ---------------------------------------------------------------------------
 # Puzzles
 
@@ -522,6 +538,18 @@ def test_eval_report_aggregates_recomputable(tmp_path):
     assert lines[0]["type"] == "summary" and lines[0]["task"] == "puzzles"
     assert len(lines) == 1 + len(outcomes)
     assert "Overall" in report.render()
+
+
+def test_a_report_write_that_fails_leaves_the_old_report(tmp_path):
+    from chessarena.evals import EvalReport
+
+    path = tmp_path / "r.jsonl"
+    EvalReport("moves", {"lr": 1.0}, ({"fen": "x"},)).write_jsonl(path)
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        EvalReport("moves", {"lr": 2.0}, ({"fen": "y"}, {"fen": {"z"}})).write_jsonl(path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
 
 def test_run_move_selection_parallel_matches_serial():

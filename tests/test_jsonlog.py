@@ -3,7 +3,7 @@ import json
 import pytest
 
 from chessarena.arena import RunDir
-from chessarena.jsonlog import LogFileError, append_row, read_rows
+from chessarena.jsonlog import LogFileError, append_row, read_rows, write_rows
 
 ROWS = [{"round": 1, "games": ["a", "b"]}, {"round": 2, "note": "café"}, {"round": 3}]
 
@@ -60,3 +60,22 @@ def test_a_bad_row_before_the_last_names_file_and_line(tmp_path, bad, error):
     log.write_bytes(lines[0] + bad + b"\n")
     with pytest.raises(LogFileError, match=f"^{log}:2: "):
         list(read_rows(log))
+
+
+def test_write_rows_makes_its_directory_and_replaces_the_file(tmp_path):
+    path = tmp_path / "new" / "nested" / "rows.jsonl"
+    write_rows(path, iter(ROWS))
+    assert path.read_text() == "".join(json.dumps(row, sort_keys=True) + "\n" for row in ROWS)
+    write_rows(path, ROWS[:1])
+    assert path.read_text() == json.dumps(ROWS[0], sort_keys=True) + "\n"
+    assert [p.name for p in path.parent.iterdir()] == ["rows.jsonl"]
+
+
+def test_write_rows_that_fails_to_encode_leaves_the_old_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_rows(path, ROWS)
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_rows(path, [ROWS[0], {"moves": {"e2e4"}}])
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]  # no .tmp left behind
