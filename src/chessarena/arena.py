@@ -41,7 +41,7 @@ from .engine import (  # analyze_all_moves is named here for the benchmark's tra
     best_move,
     start_engine,
 )
-from .jsonlog import append_row, write_atomic
+from .jsonlog import append_row, encode_rows, write_atomic
 from .players import (
     HISTORY_PGN,
     HttpChatTransport,
@@ -446,7 +446,7 @@ def encode_game(record: GameRecord) -> str:
             "error": record.error,
         }
     )
-    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    return encode_rows(rows)
 
 
 def _row(line, kind: str) -> dict:

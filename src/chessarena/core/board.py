@@ -8,6 +8,7 @@ codes (white positive, black negative), indexed a1=0 .. h8=63, rank-major.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 WHITE = "w"
 BLACK = "b"
@@ -20,7 +21,35 @@ CODE_TO_KIND = {v: k for k, v in KIND_TO_CODE.items()}
 
 # Castling rights bitmask.
 CASTLE_WK, CASTLE_WQ, CASTLE_BK, CASTLE_BQ = 1, 2, 4, 8
-_CASTLE_CHARS = (("K", CASTLE_WK), ("Q", CASTLE_WQ), ("k", CASTLE_BK), ("q", CASTLE_BQ))
+
+
+class Castling(NamedTuple):
+    """One castling move, as square indices: its FEN letter and right bit, the
+    king's and the rook's from and to squares, the squares between king and
+    rook (which must be empty), and the squares the king stands on, crosses
+    and lands on (which no enemy may attack)."""
+
+    letter: str
+    right: int
+    king_from: int
+    king_to: int
+    rook_from: int
+    rook_to: int
+    empty: tuple
+    safe: tuple
+
+
+# Every castling decision reads this table. Order: FEN order, which is also
+# generation order (each side's kingside first).
+CASTLINGS = (
+    Castling("K", CASTLE_WK, 4, 6, 7, 5, (5, 6), (4, 5, 6)),
+    Castling("Q", CASTLE_WQ, 4, 2, 0, 3, (1, 2, 3), (4, 3, 2)),
+    Castling("k", CASTLE_BK, 60, 62, 63, 61, (61, 62), (60, 61, 62)),
+    Castling("q", CASTLE_BQ, 60, 58, 56, 59, (57, 58, 59), (60, 59, 58)),
+)
+# (king_from, king_to) -> (rook_from, rook_to): a king move is castling
+# exactly when it is a key here.
+CASTLING_ROOK = {(c.king_from, c.king_to): (c.rook_from, c.rook_to) for c in CASTLINGS}
 
 FILE_NAMES = "abcdefgh"
 RANK_NAMES = "12345678"
@@ -127,8 +156,7 @@ class BoardState:
 
     @property
     def castling_rights(self) -> str:
-        s = "".join(ch for ch, bit in _CASTLE_CHARS if self.castling & bit)
-        return s or "-"
+        return "".join(c.letter for c in CASTLINGS if self.castling & c.right) or "-"
 
     @property
     def en_passant(self) -> Square | None:
@@ -207,17 +235,13 @@ def parse_fen(text: str) -> BoardState:
 
     rights = 0
     if castling != "-":
-        seen = set()
         for ch in castling:
-            for name, bit in _CASTLE_CHARS:
-                if ch == name:
-                    if ch in seen:
-                        raise FenError(f"duplicate castling token {ch!r}")
-                    seen.add(ch)
-                    rights |= bit
-                    break
-            else:
+            bit = next((c.right for c in CASTLINGS if c.letter == ch), 0)
+            if not bit:
                 raise FenError(f"invalid castling token {ch!r}")
+            if rights & bit:
+                raise FenError(f"duplicate castling token {ch!r}")
+            rights |= bit
 
     ep = None
     if ep_field != "-":

@@ -27,11 +27,9 @@ from .board import (
     RANK_NAMES,
     ROOK,
     SQUARE_NAMES,
+    CASTLING_ROOK,
+    CASTLINGS,
     BoardState,
-    CASTLE_WK,
-    CASTLE_WQ,
-    CASTLE_BK,
-    CASTLE_BQ,
     _square_index,
 )
 
@@ -224,13 +222,10 @@ def _raw_apply(state: BoardState, frm: int, to: int, promo: str | None) -> Board
             ep = frm + 8 * us
         if promo:
             moving = KIND_TO_CODE[promo] * us
-    elif kind == KING and abs((to & 7) - (frm & 7)) == 2:
-        if to > frm:  # kingside: rook h-file to king's other side
-            board[frm + 1] = board[frm + 3]
-            board[frm + 3] = 0
-        else:
-            board[frm - 1] = board[frm - 4]
-            board[frm - 4] = 0
+    elif kind == KING and (frm, to) in CASTLING_ROOK:
+        rook_from, rook_to = CASTLING_ROOK[frm, to]
+        board[rook_to] = board[rook_from]
+        board[rook_from] = 0
     board[to] = moving
     board[frm] = 0
     castling = state.castling & _RIGHTS_MASK[frm] & _RIGHTS_MASK[to]
@@ -239,19 +234,12 @@ def _raw_apply(state: BoardState, frm: int, to: int, promo: str | None) -> Board
     return BoardState(tuple(board), -us, castling, ep, halfmove, fullmove)
 
 
-def _rights_mask():
-    mask = [CASTLE_WK | CASTLE_WQ | CASTLE_BK | CASTLE_BQ] * 64
-    full = mask[0]
-    mask[0] = full & ~CASTLE_WQ  # a1
-    mask[7] = full & ~CASTLE_WK  # h1
-    mask[4] = full & ~(CASTLE_WK | CASTLE_WQ)  # e1
-    mask[56] = full & ~CASTLE_BQ  # a8
-    mask[63] = full & ~CASTLE_BK  # h8
-    mask[60] = full & ~(CASTLE_BK | CASTLE_BQ)  # e8
-    return tuple(mask)
-
-
-_RIGHTS_MASK = _rights_mask()
+# Per square: the rights a move from or to it keeps. A right goes when its
+# king or its rook moves, or when the rook is captured at home.
+_RIGHTS_MASK = tuple(
+    ~sum(c.right for c in CASTLINGS if sq in (c.king_from, c.rook_from)) for sq in range(64)
+)
+_CASTLINGS_OF = {1: CASTLINGS[:2], -1: CASTLINGS[2:]}  # kingside first
 
 
 def _iter_legal_moves(state: BoardState):
@@ -339,50 +327,19 @@ def _iter_legal_moves(state: BoardState):
                         break
 
     if not checkers:
-        if us > 0:
+        rook = ROOK * us
+        for c in _CASTLINGS_OF[us]:
             if (
-                state.castling & CASTLE_WK
-                and board[5] == 0
-                and board[6] == 0
-                and board[7] == ROOK
-                and not _attacked(board, 4, them)
-                and not _attacked(board, 5, them)
-                and not _attacked(board, 6, them)
+                state.castling & c.right
+                and king_sq == c.king_from
+                and board[c.rook_from] == rook
+                and not any(map(board.__getitem__, c.empty))
             ):
-                yield (4, 6, None)
-            if (
-                state.castling & CASTLE_WQ
-                and board[1] == 0
-                and board[2] == 0
-                and board[3] == 0
-                and board[0] == ROOK
-                and not _attacked(board, 4, them)
-                and not _attacked(board, 3, them)
-                and not _attacked(board, 2, them)
-            ):
-                yield (4, 2, None)
-        else:
-            if (
-                state.castling & CASTLE_BK
-                and board[61] == 0
-                and board[62] == 0
-                and board[63] == -ROOK
-                and not _attacked(board, 60, them)
-                and not _attacked(board, 61, them)
-                and not _attacked(board, 62, them)
-            ):
-                yield (60, 62, None)
-            if (
-                state.castling & CASTLE_BQ
-                and board[57] == 0
-                and board[58] == 0
-                and board[59] == 0
-                and board[56] == -ROOK
-                and not _attacked(board, 60, them)
-                and not _attacked(board, 59, them)
-                and not _attacked(board, 58, them)
-            ):
-                yield (60, 58, None)
+                for sq in c.safe:
+                    if _attacked(board, sq, them):
+                        break
+                else:  # no square attacked
+                    yield (c.king_from, c.king_to, None)
 
 
 def _raw_legal_moves(state: BoardState) -> list:
@@ -467,8 +424,8 @@ def _parse_san(text: str, state: BoardState, original: str = "") -> MoveToken:
     legal = legal_moves(state)
     if castle:
         kingside = castle.group(1) in ("O-O", "0-0")
-        king_from = 4 if state.turn > 0 else 60
-        castling = MoveToken(king_from, king_from + 2 if kingside else king_from - 2)
+        row = _CASTLINGS_OF[state.turn][0 if kingside else 1]
+        castling = MoveToken(row.king_from, row.king_to)
         if castling in legal:
             return castling
         raise UnmatchedSanError(f"castling not legal here: {text!r}")
@@ -487,7 +444,7 @@ def _parse_san(text: str, state: BoardState, original: str = "") -> MoveToken:
             continue
         if promotion != want_promo:
             continue
-        if kind == "k" and abs((to_idx & 7) - (frm & 7)) == 2:
+        if kind == "k" and (frm, to) in CASTLING_ROOK:
             continue  # castling is only written O-O / O-O-O
         if dis_file and (frm & 7) != FILE_NAMES.index(dis_file):
             continue
@@ -512,7 +469,7 @@ def move_to_san(state: BoardState, move: MoveToken) -> str:
     from_file, to_file = frm & 7, to & 7
     is_capture = state.board[to] != 0 or (kind == PAWN and state.ep == to and from_file != to_file)
 
-    if kind == KING and abs(to_file - from_file) == 2:
+    if kind == KING and (frm, to) in CASTLING_ROOK:
         core = "O-O" if to_file > from_file else "O-O-O"
     elif kind == PAWN:
         core = ""

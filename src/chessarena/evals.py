@@ -33,10 +33,8 @@ from .core import (
 from .engine import AnalysisTable, table_from_dict, table_to_dict
 from .jsonlog import write_rows
 from .players import (
-    BLINDFOLD,
     BLITZ,
     ChatMessage,
-    HISTORY_PGN,
     LLM_API,
     MoveAttempt,
     OK,
@@ -45,7 +43,6 @@ from .players import (
     extract_candidate,
     extract_move,
     random_player_move,
-    san_history,
 )
 
 # Unused here, but the benchmark's tracer (perfbench/tracing.py) wraps these names in this module.
@@ -293,15 +290,23 @@ def predict_move(
 ) -> MoveAttempt:
     """One move by the arena's player for `spec`, with a single attempt. LLM
     players are prompted with `template_mode` when the task pins one; random
-    players draw from `rng`. The SAN history is built once, only for a PGN
-    prompt."""
+    players draw from `rng`."""
     spec = replace(spec, play_mode=template_mode or spec.play_mode)
     player = make_player(spec, transport=transport, handle=handle, max_attempts=1)
-    history = tuple(history or ())
-    pgn = spec.kind == LLM_API and spec.play_mode != BLINDFOLD and spec.history_format == HISTORY_PGN
-    sans = tuple(san_history(history)) if pgn else None
-    view = GameView(board, history, board.side_to_move, rng, sans)
+    view = GameView(board, tuple(history or ()), board.side_to_move, rng)
     return player.choose(view).attempts[0]
+
+
+def _fan_out(spec: PlayerSpec, ask, items, workers: int) -> list:
+    """`[ask(item) for item in items]`. A model player's items run on
+    `workers` threads, and an item that raises, or an interrupt, cancels the
+    items still queued. Every other player's items run here, in order: an
+    engine handle serves one search at a time, and the rng stream stays
+    ordered."""
+    if workers > 1 and spec.kind == LLM_API:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(ask, items))
+    return [ask(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +336,8 @@ def run_move_selection(
     An illegal or unparseable prediction scores Q = 0, contributing -100% to
     its item. Items whose average win rate is zero cannot be normalized and
     are excluded from MAR (counted separately). Items for API-backed players
-    can run on a worker pool; engine and random players stay sequential
-    (handles serve one search at a time, and the rng stream stays ordered).
-    Random players draw from `rng`, or from `random.Random(0)` without one.
+    can run on `workers` threads (see `_fan_out`). Random players draw from
+    `rng`, or from `random.Random(0)` without one.
     """
     rng = rng or random.Random(0)
 
@@ -343,11 +347,7 @@ def run_move_selection(
             handle=handle, rng=rng, template_mode=item.mode,
         )
 
-    if workers > 1 and spec.kind == LLM_API:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            attempts = list(pool.map(ask, items))
-    else:
-        attempts = [ask(item) for item in items]
+    attempts = _fan_out(spec, ask, items, workers)
 
     legal_hits = top_hits = 0
     contributions = []
@@ -600,13 +600,14 @@ def run_puzzle(
 def run_puzzles(
     spec: PlayerSpec, puzzles, *, transport=None, handle=None, rng=None, workers: int = 1
 ) -> list:
-    """Run a batch of puzzles; API-backed players may fan out over workers."""
-    if workers > 1 and spec.kind == LLM_API:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_puzzle, spec, p, transport=transport) for p in puzzles]
-            return [f.result() for f in futures]
+    """Run a batch of puzzles; API-backed players may fan out over `workers`
+    threads (see `_fan_out`)."""
     rng = rng or random.Random(0)
-    return [run_puzzle(spec, p, transport=transport, handle=handle, rng=rng) for p in puzzles]
+
+    def solve(puzzle):
+        return run_puzzle(spec, puzzle, transport=transport, handle=handle, rng=rng)
+
+    return _fan_out(spec, solve, puzzles, workers)
 
 
 def bucket_label(rating: int) -> str:

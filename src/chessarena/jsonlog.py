@@ -31,11 +31,16 @@ def write_atomic(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
+def encode_rows(rows) -> str:
+    """The rows as JSONL text: one row per line, keys sorted."""
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
 def write_rows(path, rows) -> None:
     """Replace the file at `path`, making its directory, with one row per
     line. Every row is encoded before any file is touched."""
     path = Path(path)
-    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    text = encode_rows(rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, text)
 

@@ -21,13 +21,10 @@ class RatingConfig:
     init_rd: float = 350.0
     min_rd: float = 50.0
     display_rd_threshold: float = 100.0
-    q: float = Q
 
     def __post_init__(self):
         if not 0 < self.min_rd < self.init_rd:
             raise ValueError("need 0 < min_rd < init_rd")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
 
 
 @dataclass(frozen=True)
@@ -69,19 +66,19 @@ class PoolEntry:
     legal_moves: bool = True
 
 
-def g(rd: float, q: float = Q) -> float:
+def g(rd: float) -> float:
     """Attenuation factor for opponent uncertainty; g(0) = 1, decreasing."""
-    return 1.0 / math.sqrt(1.0 + 3.0 * q * q * rd * rd / (math.pi * math.pi))
+    return 1.0 / math.sqrt(1.0 + 3.0 * Q * Q * rd * rd / (math.pi * math.pi))
 
 
-def expected_score(r: float, r_o: float, rd_o: float, q: float = Q) -> float:
-    return 1.0 / (1.0 + 10.0 ** (-g(rd_o, q) * (r - r_o) / 400.0))
+def expected_score(r: float, r_o: float, rd_o: float) -> float:
+    return 1.0 / (1.0 + 10.0 ** (-g(rd_o) * (r - r_o) / 400.0))
 
 
-def d_squared(r: float, r_o: float, rd_o: float, q: float = Q) -> float:
-    e = expected_score(r, r_o, rd_o, q)
-    gf = g(rd_o, q)
-    return 1.0 / (q * q * gf * gf * e * (1.0 - e))
+def d_squared(r: float, r_o: float, rd_o: float) -> float:
+    e = expected_score(r, r_o, rd_o)
+    gf = g(rd_o)
+    return 1.0 / (Q * Q * gf * gf * e * (1.0 - e))
 
 
 def update_rating(
@@ -90,11 +87,10 @@ def update_rating(
     """One post-game update; both players of a game must be updated from the
     opponent's pre-game state, which keeps the pair order-independent."""
     cfg = cfg or RatingConfig()
-    q = cfg.q
-    e = expected_score(me.r, opp.r, opp.rd, q)
-    d2 = d_squared(me.r, opp.r, opp.rd, q)
+    e = expected_score(me.r, opp.r, opp.rd)
+    d2 = d_squared(me.r, opp.r, opp.rd)
     denom = 1.0 / (me.rd * me.rd) + 1.0 / d2
-    new_r = me.r + (q / denom) * g(opp.rd, q) * (outcome.s - e)
+    new_r = me.r + (Q / denom) * g(opp.rd) * (outcome.s - e)
     new_rd = max(cfg.min_rd, math.sqrt(1.0 / denom))
     return RatingState(new_r, new_rd, me.games_played + 1)
 
@@ -109,11 +105,11 @@ def update_pair(
     )
 
 
-def pairing_score(a: RatingState, b: RatingState, q: float = Q) -> float:
+def pairing_score(a: RatingState, b: RatingState) -> float:
     """Matching score: E_a(1-E_a) * (g(rd_a)^2 + g(rd_b)^2), maximized by
     near-equal ratings and small deviations on both sides."""
-    e = expected_score(a.r, b.r, b.rd, q)
-    ga, gb = g(a.rd, q), g(b.rd, q)
+    e = expected_score(a.r, b.r, b.rd)
+    ga, gb = g(a.rd), g(b.rd)
     return e * (1.0 - e) * (ga * ga + gb * gb)
 
 

@@ -27,7 +27,7 @@ from .core import (
     parse_fen,
     START_FEN,
 )
-from .core.board import BISHOP, KING, KIND_TO_CODE, KNIGHT, PAWN, QUEEN, ROOK
+from .core.board import BISHOP, CASTLING_ROOK, KING, KIND_TO_CODE, KNIGHT, PAWN, QUEEN, ROOK
 from .core.moves import (
     KNIGHT_TABLE,
     PAWN_ATTACKERS_B,
@@ -95,7 +95,7 @@ def _may_give_check(state: BoardState, king_sq: int, frm: int, to: int, promo: s
         attackers = PAWN_ATTACKERS_W if state.turn > 0 else PAWN_ATTACKERS_B
         return to == state.ep or to in attackers[king_sq]  # en passant clears a second square
     if kind == KING:
-        return abs(to - frm) == 2  # castling: the rook may give check
+        return (frm, to) in CASTLING_ROOK  # castling: the rook may give check
     return to in _REACH[kind][king_sq]
 
 

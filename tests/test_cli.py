@@ -577,3 +577,12 @@ def test_match_rerun_prints_the_game_lines_of_the_first_run(tmp_path, capsys):
     for line in first.splitlines():
         plies, path = line.rsplit(" (", 1)[1].split(" plies) ")
         assert int(plies) == len(Path(path).read_text().splitlines()) - 2 > 0
+
+
+def test_rating_q_is_an_unknown_config_key(tmp_path, capsys):
+    """Glicko's q is the constant `rating.Q`, for updates and pairing alike."""
+    config = write_config(tmp_path, run_dir=tmp_path / "run", extra={"rating": {"q": 0.006}})
+    code = main(["game", "--config", str(config), "--white", "rand-0", "--black", "rand-1"])
+    assert code == 1
+    assert "unknown key 'q' in rating" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -599,3 +599,36 @@ def test_run_puzzles_parallel_matches_serial():
     parallel = run_puzzles(spec, puzzles, transport=SolveExactly(), workers=3)
     assert [o.solved for o in serial] == [o.solved for o in parallel]
     assert all(o.solved for o in serial)
+
+
+def test_a_failed_parallel_puzzle_run_stops_asking():
+    """A model player's puzzles run on worker threads; when one raises, the
+    puzzles still queued are never sent to the provider."""
+    import threading
+    import time
+
+    from chessarena.evals import run_puzzles
+    from chessarena.players import ChatResponse
+
+    puzzles = load_lichess_puzzles(PUZZLES_CSV, limit=24)
+    spec = PlayerSpec(id="llm", kind="llm_api", play_mode="blitz", provide_legal_moves=True)
+
+    class FailsFirst:
+        def __init__(self):
+            self.calls = 0
+            self.lock = threading.Lock()
+
+        def complete(self, messages):
+            with self.lock:
+                self.calls += 1
+                first = self.calls == 1
+            if first:
+                raise RuntimeError("provider refused the key")
+            time.sleep(0.02)
+            return ChatResponse(text="```a1a1```")
+
+    transport = FailsFirst()
+    with pytest.raises(RuntimeError, match="provider refused the key"):
+        run_puzzles(spec, puzzles, transport=transport, workers=2)
+    assert len(puzzles) == 24
+    assert transport.calls < len(puzzles)

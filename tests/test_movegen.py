@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chessarena.core import (
+    START_FEN,
     BoardState,
     IllegalMoveError,
     MoveToken,
@@ -16,7 +19,7 @@ from chessarena.core import (
 from chessarena.core.board import KING
 
 from conftest import playout
-from oracle_chess import o_legal_moves, o_parse, o_perft
+from oracle_chess import o_apply_uci, o_fen, o_legal_moves, o_parse, o_perft
 
 # Expected perft values were computed with the brute-force oracle
 # (tests/oracle_chess.py) and frozen here; shallow depths are re-checked
@@ -250,3 +253,41 @@ def test_no_castling_when_rights_absent_or_rook_moved():
     assert after.castling_rights == "Qkq"
     after = apply_move(board, MoveToken.from_uci("e1d1"))  # king move drops both
     assert after.castling_rights == "kq"
+
+
+CASTLING_STARTS = (
+    START_FEN,
+    KIWIPETE_FEN,
+    "r3k2r/pppppppp/8/8/8/8/PPPPPPPP/R3K2R w KQkq - 0 1",
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(start=st.sampled_from(CASTLING_STARTS), seed=st.integers(0, 10_000), plies=st.integers(0, 40))
+def test_every_move_applies_like_the_oracle(start, seed, plies):
+    """Along a seeded random game, each position's legal set and the FEN after
+    each of its legal moves match the oracle's: castling moves, the castled
+    rook's squares and the rights left all show in those FENs."""
+    rng = random.Random(seed)
+    board = parse_fen(start)
+    for _ in range(plies + 1):
+        pos = o_parse(board.fen)
+        moves = legal_moves(board)
+        assert [m.uci for m in moves] == o_legal_moves(pos)
+        for mv in moves:
+            assert apply_move(board, mv).fen == o_fen(o_apply_uci(pos, mv.uci))
+        if not moves:
+            break
+        board = apply_move(board, rng.choice(moves))
+
+
+@pytest.mark.parametrize(
+    "fen",
+    [
+        "r3k2r/8/8/8/8/8/8/R4K1R w KQ - 0 1",  # rights kept, king on f1
+        "r4k1r/8/8/8/8/8/8/R3K2R b kq - 0 1",  # rights kept, king on f8
+    ],
+)
+def test_no_castling_when_the_king_is_off_its_square(fen):
+    board = parse_fen(fen)
+    assert [m.uci for m in legal_moves(board)] == o_legal_moves(o_parse(fen))
