@@ -62,7 +62,6 @@ from .rating import (
     MatchOutcome,
     PoolEntry,
     RatingConfig,
-    pool_from_json,
     pool_to_json,
     sample_opponent,
     select_initiator,
@@ -569,9 +568,6 @@ class RunDir:
     def write_pool(self, pool) -> None:
         write_atomic(self.root / "pool.json", pool_to_json(pool))
 
-    def read_pool(self):
-        return pool_from_json((self.root / "pool.json").read_text())
-
     def append_round(self, entry: dict) -> None:
         append_row(self.root / "rounds.jsonl", entry)
 
@@ -614,6 +610,46 @@ def verify_replay(record: GameRecord) -> None:
 # Matches and tournaments
 
 
+def fan_out(fn, items, width: int) -> list:
+    """`[fn(item) for item in items]`, on up to `width` daemon threads that
+    take the items in index order. Once an item raises, no further item
+    starts, and the error of the lowest failed index is raised once the
+    started items have ended. An interrupt of the calling thread starts no
+    further item and is raised at once."""
+    if width <= 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+    pending = iter(range(len(items)))
+    stop = threading.Event()
+
+    def take():
+        with lock:
+            return None if stop.is_set() else next(pending, None)
+
+    def work():
+        for index in iter(take, None):
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:  # raised again below, on the calling thread
+                errors[index] = exc
+                stop.set()
+
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(min(width, len(items)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        stop.set()
+        raise
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def run_match(
     req: MatchRequest,
     pool: list,
@@ -630,8 +666,7 @@ def run_match(
     model player meets a non-engine player, the unfinished games play at
     once, one thread per game, so their transport waits overlap; other
     matches play in order on the calling thread. An exception other than a
-    game's own engine or transport failure is raised, lowest game index
-    first, once every game has ended.
+    game's own engine or transport failure is raised as `fan_out` raises it.
     """
     entries = {p.id: p for p in pool}
     if req.a_id not in entries or req.b_id not in entries:
@@ -653,37 +688,20 @@ def run_match(
     missing = [index for index, record in enumerate(records) if record is None]
     if missing:
         players = {pid: registry.player(pid) for pid in (req.a_id, req.b_id)}
-        errors = {}
 
         def play(index):
             gid, white_id, black_id, game_seed = games[index]
-            try:
-                record = play_game(players[white_id], players[black_id], cfg, game_seed, game_id=gid)
-                if run_dir is not None:
-                    run_dir.write_game(record)
-            except BaseException as exc:  # raised again below, on the calling thread
-                errors[index] = exc
-            else:
-                records[index] = record
+            record = play_game(players[white_id], players[black_id], cfg, game_seed, game_id=gid)
+            if run_dir is not None:
+                run_dir.write_game(record)
+            return record
 
         # An engine handle serves one search at a time, and games without a
         # model player have no wait to overlap.
         kinds = {registry.specs[req.a_id].kind, registry.specs[req.b_id].kind}
-        if LLM_API in kinds and UCI_ENGINE not in kinds and len(missing) > 1:
-            # Daemon threads, joined one by one: an interrupt on the calling
-            # thread returns at once instead of waiting for every game.
-            threads = [threading.Thread(target=play, args=(index,), daemon=True) for index in missing]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        else:
-            for index in missing:
-                play(index)
-                if errors:
-                    break
-        if errors:
-            raise errors[min(errors)]
+        width = len(missing) if LLM_API in kinds and UCI_ENGINE not in kinds else 1
+        for index, record in zip(missing, fan_out(play, missing, width)):
+            records[index] = record
     for record in records:
         if record.aborted:
             continue

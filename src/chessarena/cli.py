@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+import typing
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .core import BoardState
 from .engine import EngineError, analyze_all_moves, start_engine
 from .jsonlog import LogFileError, write_rows
 from .players import LLM_API, HttpChatTransport, PlayerSpec, RANDOM, TransportError, UCI_ENGINE
-from .rating import PoolEntry, RatingConfig, RatingState
+from .rating import PoolEntry, RatingConfig, RatingState, pool_from_json
 
 DEFAULT_RUN_DIR = "runs/run"
 RUN_DIR_ENV = "CHESSARENA_RUN_DIR"
@@ -66,10 +67,24 @@ class RunConfig:
         return arena.GameConfig(ply_cap=self.ply_cap, rating=self.rating)
 
 
-def _check_keys(data: dict, allowed, where: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise UserError(f"unknown key {unknown[0]!r} in {where}")
+def _block(data, cls, where: str):
+    """The dataclass `cls` built from the JSON object `data`. Anything but an
+    object, an unknown key, a value of the wrong type (an int passes for a
+    float) or one that `cls` rejects raises UserError naming `where`."""
+    if not isinstance(data, dict):
+        raise UserError(f"{where} must be a JSON object, got {type(data).__name__}")
+    hints = typing.get_type_hints(cls)
+    for key, value in sorted(data.items()):
+        hint = hints.get(key)
+        if hint is None:
+            raise UserError(f"unknown key {key!r} in {where}")
+        kind = (int, float) if hint is float else hint
+        if isinstance(value, bool) != (hint is bool) or not isinstance(value, kind):
+            raise UserError(f"{where}: {key} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise UserError(f"{where}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -79,28 +94,17 @@ def load_config(path) -> RunConfig:
         raise UserError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UserError(f"config is not valid JSON: {exc}") from None
-    _check_keys(data, ("players", "rating", "engine", "concurrency", "run_dir", "seed", "ply_cap"), "config")
-    spec_fields = {f.name for f in dataclasses.fields(PlayerSpec)}
-    players = []
-    for i, row in enumerate(data.get("players", [])):
-        _check_keys(row, spec_fields, f"players[{i}]")
-        try:
-            players.append(PlayerSpec(**row))
-        except (TypeError, ValueError) as exc:
-            raise UserError(f"players[{i}]: {exc}") from None
-    rating_data = data.get("rating", {})
-    _check_keys(rating_data, {f.name for f in dataclasses.fields(RatingConfig)}, "rating")
-    engine_data = data.get("engine", {})
-    _check_keys(engine_data, {f.name for f in dataclasses.fields(EngineConfig)}, "engine")
-    cfg = RunConfig(
-        players=players,
-        rating=RatingConfig(**rating_data),
-        engine=EngineConfig(**engine_data),
-        concurrency=int(data.get("concurrency", 1)),
-        run_dir=data.get("run_dir"),
-        seed=int(data.get("seed", 0)),
-        ply_cap=int(data.get("ply_cap", 400)),
-    )
+    if not isinstance(data, dict):
+        raise UserError(f"config must be a JSON object, got {type(data).__name__}")
+    players = data.get("players", [])
+    if not isinstance(players, list):
+        raise UserError(f"players must be a JSON list, got {type(players).__name__}")
+    cfg = _block({
+        **data,
+        "players": [_block(row, PlayerSpec, f"players[{i}]") for i, row in enumerate(players)],
+        "rating": _block(data.get("rating", {}), RatingConfig, "rating"),
+        "engine": _block(data.get("engine", {}), EngineConfig, "engine"),
+    }, RunConfig, "config")
     ids = [p.id for p in cfg.players]
     if len(ids) != len(set(ids)):
         raise UserError("player ids must be unique")
@@ -200,6 +204,7 @@ def cmd_match(args) -> int:
         if oracle is not None:
             arena.annotate_games(records, oracle, cfg.engine.depth, run_dir)
     run_dir.write_pool(pool)
+    run_dir.write_leaderboard(arena.compute_leaderboard(pool, cfg.rating))
     for record in records:
         _print_game_line(record, run_dir)
     return 0
@@ -356,19 +361,18 @@ def _player_spec(cfg: RunConfig, player_id: str, depth: int | None = None) -> Pl
 
 
 def cmd_leaderboard(args) -> int:
-    run_dir = arena.RunDir(resolve_run_dir(args.run_dir, RunConfig()))
-    pool_path = run_dir.root / "pool.json"
+    # Prints only: the run's leaderboard files are written by the command that
+    # rated the games, with its config's display threshold.
+    root = resolve_run_dir(args.run_dir, RunConfig())
+    pool_path = root / "pool.json"
     if not pool_path.exists():
-        raise UserError(f"no pool.json in {run_dir.root}; run a tournament or match first")
+        raise UserError(f"no pool.json in {root}; run a tournament or match first")
     try:
-        pool = run_dir.read_pool()
+        pool = pool_from_json(pool_path.read_text())
     except ValueError as exc:  # JSONDecodeError is a ValueError
         raise UserError(f"{pool_path}: {exc}") from None
     rating_cfg = RatingConfig() if not args.all else RatingConfig(display_rd_threshold=float("inf"))
-    entries = arena.compute_leaderboard(pool, rating_cfg)
-    if not args.all:  # --all only prints; the run's files keep the filtered table
-        run_dir.write_leaderboard(entries)
-    print(arena.render_leaderboard(entries))
+    print(arena.render_leaderboard(arena.compute_leaderboard(pool, rating_cfg)))
     return 0
 
 
@@ -458,9 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval_puzzles)
 
-    p = sub.add_parser("leaderboard", help="render the rating table of a run")
+    p = sub.add_parser("leaderboard", help="print the rating table of a run (writes no file)")
     p.add_argument("--run-dir")
-    p.add_argument("--all", action="store_true", help="print unreliable (rd > threshold) entries too; the saved leaderboard is left as it is")
+    p.add_argument("--all", action="store_true", help="print unreliable (rd > threshold) entries too")
     p.set_defaults(func=cmd_leaderboard)
 
     p = sub.add_parser("engine-check", help="handshake + a shallow analysis smoke test")

@@ -76,14 +76,13 @@ class PositionHistory:
     """Repetition keys of every position seen, initial position included."""
 
     keys: tuple
-    ply_count: int
 
     @classmethod
     def start(cls, state: BoardState) -> "PositionHistory":
-        return cls((repetition_key(state),), 0)
+        return cls((repetition_key(state),))
 
     def push(self, state: BoardState) -> "PositionHistory":
-        return PositionHistory(self.keys + (repetition_key(state),), self.ply_count + 1)
+        return PositionHistory(self.keys + (repetition_key(state),))
 
     def max_repetition(self) -> int:
         return max(Counter(self.keys).values())

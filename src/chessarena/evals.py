@@ -14,11 +14,10 @@ import json
 import logging
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
-from .arena import GameView, make_player
+from .arena import GameView, fan_out, make_player
 from .core import (
     BoardState,
     ChessError,
@@ -297,16 +296,11 @@ def predict_move(
     return player.choose(view).attempts[0]
 
 
-def _fan_out(spec: PlayerSpec, ask, items, workers: int) -> list:
-    """`[ask(item) for item in items]`. A model player's items run on
-    `workers` threads, and an item that raises, or an interrupt, cancels the
-    items still queued. Every other player's items run here, in order: an
-    engine handle serves one search at a time, and the rng stream stays
-    ordered."""
-    if workers > 1 and spec.kind == LLM_API:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(ask, items))
-    return [ask(item) for item in items]
+def _width(spec: PlayerSpec, workers: int) -> int:
+    """A model player's items run `workers` at a time (`arena.fan_out`), any
+    other player's in order: an engine handle serves one search at a time,
+    and the rng stream stays ordered."""
+    return workers if spec.kind == LLM_API else 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +330,7 @@ def run_move_selection(
     An illegal or unparseable prediction scores Q = 0, contributing -100% to
     its item. Items whose average win rate is zero cannot be normalized and
     are excluded from MAR (counted separately). Items for API-backed players
-    can run on `workers` threads (see `_fan_out`). Random players draw from
+    can run on `workers` threads (see `_width`). Random players draw from
     `rng`, or from `random.Random(0)` without one.
     """
     rng = rng or random.Random(0)
@@ -347,7 +341,7 @@ def run_move_selection(
             handle=handle, rng=rng, template_mode=item.mode,
         )
 
-    attempts = _fan_out(spec, ask, items, workers)
+    attempts = fan_out(ask, items, _width(spec, workers))
 
     legal_hits = top_hits = 0
     contributions = []
@@ -423,17 +417,19 @@ def _move_item(row) -> MoveSelectionItem:
     if mode not in PLAY_MODES or not isinstance(legal_flag, bool):
         raise TypeError(f"mode must be one of {PLAY_MODES} and legal_flag a boolean")
     board = BoardState.start()
-    for text in history:  # the moves must replay from the initial position
+    ucis = []
+    for text in history:  # the moves must replay from the initial position; SAN is kept as UCI
         move = parse_move(text, board)
         if move not in legal_moves(board):
             raise IllegalMoveError(f"{move.uci}: not legal in this position")
+        ucis.append(move.uci)
         board = apply_move(board, move)
     if history and board.fen != fen:  # an empty history may stand for any game
         raise ValueError(f"history leads to {board.fen}, not to the item's fen")
     table = table_from_dict(row["table"])
     if not all(isinstance(ev.win_rate, (int, float)) for ev in table.evals):
         raise TypeError("every q in the table must be a number")
-    return MoveSelectionItem(fen, tuple(history), mode, legal_flag, table)
+    return MoveSelectionItem(fen, tuple(ucis), mode, legal_flag, table)
 
 
 def load_fens(path) -> list:
@@ -601,13 +597,13 @@ def run_puzzles(
     spec: PlayerSpec, puzzles, *, transport=None, handle=None, rng=None, workers: int = 1
 ) -> list:
     """Run a batch of puzzles; API-backed players may fan out over `workers`
-    threads (see `_fan_out`)."""
+    threads (see `_width`)."""
     rng = rng or random.Random(0)
 
     def solve(puzzle):
         return run_puzzle(spec, puzzle, transport=transport, handle=handle, rng=rng)
 
-    return _fan_out(spec, solve, puzzles, workers)
+    return fan_out(solve, puzzles, _width(spec, workers))
 
 
 def bucket_label(rating: int) -> str:

@@ -235,9 +235,16 @@ def render_history(moves, fmt: str, window: int, sans=None) -> str | None:
     return "Move history in PGN notation: " + " ".join(parts) + "."
 
 
-def _legal_line(legal) -> str:
-    ucis = [mv.uci if isinstance(mv, MoveToken) else str(mv) for mv in legal]
-    return "Legal moves in UCI notation: " + " ".join(ucis) + "."
+def _legal_lines(spec: PlayerSpec, legal) -> list:
+    """The legal-move line of a prompt, as a list of at most one line.
+    `legal` must be given exactly when spec.provide_legal_moves is set."""
+    if spec.provide_legal_moves and legal is None:
+        raise ValueError(f"{spec.id}: legal moves required but not supplied")
+    if not spec.provide_legal_moves and legal is not None:
+        raise ValueError(f"{spec.id}: legal moves supplied but provide_legal_moves is off")
+    if legal is None:
+        return []
+    return ["Legal moves in UCI notation: " + " ".join(mv.uci for mv in legal) + "."]
 
 
 def build_prompt(spec: PlayerSpec, board: BoardState, history, legal, color: str, sans=None) -> list:
@@ -250,13 +257,7 @@ def build_prompt(spec: PlayerSpec, board: BoardState, history, legal, color: str
     """
     if spec.play_mode == BLINDFOLD:
         raise ValueError("blindfold prompts are conversations; use build_blindfold_conversation")
-    if spec.provide_legal_moves and legal is None:
-        raise ValueError(f"{spec.id}: legal moves required but not supplied")
-    if not spec.provide_legal_moves and legal is not None:
-        raise ValueError(f"{spec.id}: legal moves supplied but provide_legal_moves is off")
-    lines = [f"The current FEN: {board.fen}"]
-    if legal is not None:
-        lines.append(_legal_line(legal))
+    lines = [f"The current FEN: {board.fen}", *_legal_lines(spec, legal)]
     rendered = render_history(history or [], spec.history_format, spec.history_window, sans)
     if rendered:
         lines.append(rendered)
@@ -281,14 +282,7 @@ def build_blindfold_conversation(spec: PlayerSpec, moves, legal, color: str) -> 
     messages = [ChatMessage("system", system_prompt(BLINDFOLD, color))]
     if own_first:
         messages.append(ChatMessage("user", "This is the beginning of the game."))
-    tail = []
-    if spec.provide_legal_moves:
-        if legal is None:
-            raise ValueError(f"{spec.id}: legal moves required but not supplied")
-        tail.append(_legal_line(legal))
-    elif legal is not None:
-        raise ValueError(f"{spec.id}: legal moves supplied but provide_legal_moves is off")
-    tail.append("What is the best move?")
+    tail = [*_legal_lines(spec, legal), "What is the best move?"]
     for idx, mv in enumerate(moves):
         uci = mv.uci if isinstance(mv, MoveToken) else str(mv)
         own_turn = (idx % 2 == 0) == own_first
@@ -533,42 +527,27 @@ def request_move(
     transcript = list(messages)
     attempts = []
     for index in range(1, max_attempts + 1):
-        response = None
-        for attempt in range(2):
+        try:
             try:
                 response = transport.complete(transcript)
-                break
-            except TransportError as exc:
-                if attempt == 0:
-                    sleep(backoff)
-                    continue
-                attempts.append(
-                    MoveAttempt("", PARSING_ERROR, attempt_index=index,
-                                error=f"transport failure: {exc}")
-                )
-        if response is None:
-            transcript.append(ChatMessage("assistant", ""))
-            transcript.append(
-                ChatMessage("user", correction_message(PARSING_ERROR, spec.play_mode))
-            )
-            continue
-        attempt_rec = extract_move(
-            response.text,
-            spec.play_mode,
-            board,
-            reasoning=response.reasoning,
-            attempt_index=index,
-        )
-        if response.usage is not None or response.reasoning is not None:
-            attempt_rec = replace(attempt_rec, token_usage=response.usage, reasoning=response.reasoning)
-        attempts.append(attempt_rec)
-        if attempt_rec.outcome == OK:
-            transcript.append(ChatMessage("assistant", response.text))
-            return attempt_rec.move, attempts, transcript
-        transcript.append(ChatMessage("assistant", response.text))
-        transcript.append(
-            ChatMessage("user", correction_message(attempt_rec.outcome, spec.play_mode))
-        )
+            except TransportError:
+                sleep(backoff)
+                response = transport.complete(transcript)
+        except TransportError as exc:
+            text = ""
+            attempt = MoveAttempt(text, PARSING_ERROR, attempt_index=index,
+                                  error=f"transport failure: {exc}")
+        else:
+            text = response.text
+            attempt = extract_move(text, spec.play_mode, board, reasoning=response.reasoning,
+                                   attempt_index=index)
+            if response.usage is not None or response.reasoning is not None:
+                attempt = replace(attempt, token_usage=response.usage, reasoning=response.reasoning)
+        attempts.append(attempt)
+        transcript.append(ChatMessage("assistant", text))
+        if attempt.outcome == OK:
+            return attempt.move, attempts, transcript
+        transcript.append(ChatMessage("user", correction_message(attempt.outcome, spec.play_mode)))
     return None, attempts, transcript
 
 

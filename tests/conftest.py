@@ -1,4 +1,5 @@
 import random
+import signal
 import sys
 import textwrap
 from pathlib import Path
@@ -15,6 +16,15 @@ DATA_DIR = Path(__file__).parent / "data"
 PUZZLES_CSV = DATA_DIR / "puzzles_small.csv"
 
 TOY_ENGINE_CMD = [sys.executable, "-m", "chessarena.toy_engine"]
+
+
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt in the main thread, also when the
+    tests were started with SIGINT ignored (say, as a background job)."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
 
 
 def playout(seed: int, plies: int) -> BoardState:

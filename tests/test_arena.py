@@ -695,7 +695,7 @@ def test_model_match_raises_a_game_error_once_the_other_game_ends(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
-def test_interrupted_model_match_returns_without_waiting_for_its_games(tmp_path):
+def test_interrupted_model_match_returns_without_waiting_for_its_games(tmp_path, sigint_raises):
     release = threading.Event()
 
     class InterruptsThenStalls(HashedTransport):

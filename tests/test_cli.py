@@ -63,6 +63,26 @@ def test_load_config_other_errors(tmp_path):
         load_config(badspec)
 
 
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        ({"rating": {"min_rd": 400}}, "rating: need 0 < min_rd < init_rd"),
+        ({"concurrency": "many"}, "config: concurrency must be int, got 'many'"),
+        ({"rating": {"init_rd": "abc"}}, "rating: init_rd must be float, got 'abc'"),
+        ({"rating": {"init_r": "abc"}}, "rating: init_r must be float, got 'abc'"),
+        ({"players": "x"}, "players must be a JSON list, got str"),
+        ([1], "config must be a JSON object, got list"),
+    ],
+    ids=["min-rd-above-init-rd", "concurrency-not-int", "init-rd-not-number", "init-r-not-number",
+         "players-not-a-list", "config-not-an-object"],
+)
+def test_a_malformed_config_is_one_error_line(tmp_path, capsys, config, expected):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    err = _one_error_line(capsys, ["game", "--config", str(path), "--white", "a", "--black", "b"])
+    assert err == f"error: {expected}\n"
+
+
 def test_game_subcommand(tmp_path, capsys):
     config = write_config(tmp_path, run_dir=tmp_path / "run")
     code = main(["game", "--config", str(config), "--white", "rand-0", "--black", "rand-1", "--seed", "3"])
@@ -185,7 +205,27 @@ def test_leaderboard_all_flag(tmp_path, capsys):
     assert main(["leaderboard", "--run-dir", str(run_dir), "--all"]) == 0
     out = capsys.readouterr().out
     assert "noisy" in out
-    assert "noisy" not in (run_dir / "leaderboard.json").read_text()
+    assert [p.name for p in run_dir.iterdir()] == ["pool.json"]
+
+
+def test_leaderboard_leaves_the_run_files_of_a_tournament_as_they_are(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, extra={"ply_cap": 12, "rating": {"display_rd_threshold": 350}})
+    assert main(["tournament", "--config", str(config), "--rounds", "2"]) == 0
+    files = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    assert len(json.loads((run_dir / "leaderboard.json").read_text())) == 4
+    assert main(["leaderboard", "--run-dir", str(run_dir)]) == 0
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == files
+
+
+def test_match_writes_the_leaderboard_files_with_the_config_threshold(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, n_random=2,
+                          extra={"ply_cap": 12, "rating": {"display_rd_threshold": 350}})
+    assert main(["match", "--config", str(config), "--white", "rand-0", "--black", "rand-1"]) == 0
+    listed = json.loads((run_dir / "leaderboard.json").read_text())
+    assert sorted(row["id"] for row in listed) == ["rand-0", "rand-1"]
+    assert "rand-0" in (run_dir / "leaderboard.md").read_text()
 
 
 def test_eval_basic_deterministic_items(tmp_path):

@@ -1,6 +1,9 @@
 import csv
 import json
 import random
+import signal
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -357,6 +360,23 @@ def test_move_items_round_trip(tmp_path):
     assert loaded[0].table.top_moves == items[0].table.top_moves
 
 
+def test_move_items_keep_a_san_history_as_uci(tmp_path):
+    board = BoardState.start()
+    from chessarena.core import apply_move
+
+    for uci in ("e2e4", "e7e5"):
+        board = apply_move(board, MoveToken.from_uci(uci))
+    item = MoveSelectionItem(board.fen, ("e4", "e5"), "blitz", True, synthetic_table(board.fen, random.Random(3)))
+    path = tmp_path / "items.jsonl"
+    save_move_items([item], path)
+    (loaded,) = load_move_items(path)
+    assert loaded.history == ("e2e4", "e7e5")
+    spec = PlayerSpec(id="llm", kind="llm_api", play_mode="blitz", provide_legal_moves=True)
+    transport = ScriptedTransport(["```g1f3```"])
+    run_move_selection(spec, [loaded], transport=transport)
+    assert "Move history in UCI notation: e2e4 e7e5." in transport.calls[0][1].content
+
+
 def test_a_move_items_write_that_fails_leaves_the_old_file(tmp_path):
     rng = random.Random(12)
     items = [
@@ -599,6 +619,49 @@ def test_run_puzzles_parallel_matches_serial():
     parallel = run_puzzles(spec, puzzles, transport=SolveExactly(), workers=3)
     assert [o.solved for o in serial] == [o.solved for o in parallel]
     assert all(o.solved for o in serial)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_an_interrupted_parallel_puzzle_run_returns_without_waiting_for_its_calls(sigint_raises):
+    """Both workers' calls stall; the second to start interrupts the calling
+    thread, which returns at once and starts no further call."""
+    from chessarena.evals import run_puzzles
+    from chessarena.players import ChatResponse
+
+    puzzles = load_lichess_puzzles(PUZZLES_CSV, limit=20)
+    spec = PlayerSpec(id="llm", kind="llm_api", play_mode="blitz", provide_legal_moves=True)
+    release = threading.Event()
+
+    class InterruptsThenStalls:
+        def __init__(self):
+            self.calls = 0
+            self.lock = threading.Lock()
+
+        def complete(self, messages):
+            with self.lock:
+                self.calls += 1
+                both_in_flight = self.calls == 2
+            if both_in_flight:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            release.wait(10)
+            return ChatResponse(text="```a1a1```")
+
+    transport = InterruptsThenStalls()
+    threads_before = threading.active_count()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_puzzles(spec, puzzles, transport=transport, workers=2)
+        waited = time.perf_counter() - started
+        calls_at_interrupt = transport.calls
+    finally:
+        release.set()
+        deadline = time.monotonic() + 10
+        while threading.active_count() > threads_before and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert waited < 5
+    assert calls_at_interrupt == transport.calls == 2
+    assert threading.active_count() == threads_before
 
 
 def test_a_failed_parallel_puzzle_run_stops_asking():

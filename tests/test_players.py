@@ -297,10 +297,15 @@ def test_request_move_double_transport_failure_costs_an_attempt():
     spec = make_spec()
     messages, board = start_messages(spec)
     transport = FlakyTransport(2, ScriptedTransport(["e2e4"]))
-    move, attempts, _ = request_move(spec, messages, board, transport, sleep=lambda _s: None)
+    move, attempts, transcript = request_move(spec, messages, board, transport, sleep=lambda _s: None)
     assert move.uci == "e2e4"
     assert [a.outcome for a in attempts] == [PARSING_ERROR, OK]
     assert "transport failure" in attempts[0].error
+    failed_turns = transcript[len(messages):len(messages) + 2]
+    assert failed_turns == [
+        ChatMessage("assistant", ""),
+        ChatMessage("user", correction_message(PARSING_ERROR, spec.play_mode)),
+    ]
 
 
 def test_bullet_forbidden_then_clean():
