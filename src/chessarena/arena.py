@@ -259,7 +259,9 @@ def make_player(
 
 
 class PlayerRegistry:
-    """Builds and owns runtime players (and their engine processes)."""
+    """Builds and owns runtime players (and their engine processes). An
+    engine player whose process has died (killed after a timeout, or
+    exited) gets a new one the next time it is asked for."""
 
     def __init__(self, specs, transports: dict | None = None):
         self.specs = {spec.id: spec for spec in specs}
@@ -267,24 +269,26 @@ class PlayerRegistry:
             raise ValueError("player ids must be unique")
         self._transports = transports or {}
         self._players: dict = {}
-        self._handles: list = []
 
     def player(self, player_id: str) -> Player:
-        if player_id not in self._players:
+        player = self._players.get(player_id)
+        handle = getattr(player, "handle", None)
+        if player is None or (handle is not None and not handle.alive):
+            if handle is not None:
+                handle.quit()
             spec = self.specs[player_id]
-            handle = None
             if spec.kind == UCI_ENGINE:
                 handle = start_engine(spec.engine_command, spec.engine_options)
-                self._handles.append(handle)
-            self._players[player_id] = make_player(
+            player = self._players[player_id] = make_player(
                 spec, transport=self._transports.get(player_id), handle=handle
             )
-        return self._players[player_id]
+        return player
 
     def close(self) -> None:
-        for handle in self._handles:
-            handle.quit()
-        self._handles.clear()
+        for player in self._players.values():
+            if getattr(player, "handle", None) is not None:
+                player.handle.quit()
+        self._players.clear()
 
     def __enter__(self):
         return self
@@ -665,8 +669,10 @@ def run_match(
     their header and footer rows only: their records' `plies` is None. When a
     model player meets a non-engine player, the unfinished games play at
     once, one thread per game, so their transport waits overlap; other
-    matches play in order on the calling thread. An exception other than a
-    game's own engine or transport failure is raised as `fan_out` raises it.
+    matches play in order on the calling thread. An engine that dies in a
+    game aborts that game only: the registry restarts it for the next. An
+    exception other than a game's own engine or transport failure is raised
+    as `fan_out` raises it.
     """
     entries = {p.id: p for p in pool}
     if req.a_id not in entries or req.b_id not in entries:
@@ -687,11 +693,14 @@ def run_match(
             )
     missing = [index for index, record in enumerate(records) if record is None]
     if missing:
-        players = {pid: registry.player(pid) for pid in (req.a_id, req.b_id)}
+        for player_id in (req.a_id, req.b_id):
+            registry.player(player_id)  # built on this thread, before the first game
 
         def play(index):
             gid, white_id, black_id, game_seed = games[index]
-            record = play_game(players[white_id], players[black_id], cfg, game_seed, game_id=gid)
+            # Asked again per game: an engine that died in the last game is restarted.
+            white, black = registry.player(white_id), registry.player(black_id)
+            record = play_game(white, black, cfg, game_seed, game_id=gid)
             if run_dir is not None:
                 run_dir.write_game(record)
             return record
@@ -764,7 +773,6 @@ def run_tournament(
                     "results_white": [r.result_white for r in records],
                 }
             )
-            run_dir.write_pool(pool)
     if run_dir is not None:
         if not logged:
             run_dir.reset_rounds()
@@ -809,6 +817,18 @@ def render_leaderboard(entries) -> str:
         lines.append(
             f"| {e.rank} | {e.id} | {e.mode or '-'} | {'yes' if e.legal_moves else 'no'} "
             f"| {round(e.r)} | {round(e.rd)} | ({e.interval[0]}, {e.interval[1]}) | {e.games} |"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def render_player_metrics(records, player_ids) -> str:
+    """One row of `compute_secondary_metrics` over `records` per player."""
+    lines = ["| Player | W | L | D | Legal Mv% | Top Mv% |", "|---|---|---|---|---|---|"]
+    for player_id in player_ids:
+        m = compute_secondary_metrics(records, player_id)
+        top = "-" if m.top_move_rate is None else f"{100 * m.top_move_rate:.1f}"
+        lines.append(
+            f"| {player_id} | {m.wins} | {m.losses} | {m.draws} | {100 * m.legal_move_rate:.1f} | {top} |"
         )
     return "\n".join(lines) + "\n"
 

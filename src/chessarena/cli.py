@@ -56,6 +56,12 @@ class RunConfig:
     seed: int = 0
     ply_cap: int = 400
 
+    def __post_init__(self):
+        if self.ply_cap < 2:  # below 2 every game ends, rated, before its first move
+            raise ValueError(f"ply_cap must be at least 2, got {self.ply_cap}")
+        if self.concurrency < 1:
+            raise ValueError(f"concurrency must be at least 1, got {self.concurrency}")
+
     def spec(self, player_id: str) -> PlayerSpec:
         for spec in self.players:
             if spec.id == player_id:
@@ -108,6 +114,9 @@ def load_config(path) -> RunConfig:
     ids = [p.id for p in cfg.players]
     if len(ids) != len(set(ids)):
         raise UserError("player ids must be unique")
+    for i, spec in enumerate(cfg.players):
+        if spec.kind == LLM_API and not spec.endpoint:  # a config player talks HTTP
+            raise UserError(f"players[{i}]: an llm_api player needs an endpoint")
     return cfg
 
 
@@ -181,6 +190,8 @@ def cmd_tournament(args) -> int:
             arena.annotate_games(records, oracle, cfg.engine.depth, run_dir)
     # run_tournament wrote the leaderboard files; this prints the same table.
     print(arena.render_leaderboard(arena.compute_leaderboard(pool, cfg.rating)))
+    if args.annotate:
+        print(arena.render_player_metrics(records, [spec.id for spec in cfg.players]))
     print(f"run dir: {run_dir.root}")
     return 0
 

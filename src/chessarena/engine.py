@@ -153,9 +153,14 @@ class EngineHandle:
             message += "; stderr: " + " | ".join(self._stderr_tail)
         return EngineError(message)
 
+    @property
+    def alive(self) -> bool:
+        """False once the process has exited or the handle has given it up."""
+        return not self._dead and self._proc.poll() is None
+
     def send(self, line: str) -> None:
         """Queue one command line; the next `read_line` or `quit` writes it."""
-        if self._dead or self._proc.poll() is not None:
+        if not self.alive:
             raise self._failure("engine process is gone")
         self._unsent.append(line + "\n")
 

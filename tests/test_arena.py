@@ -264,6 +264,61 @@ def test_aborted_game_excluded_from_ratings(tmp_path):
     assert all(p.rating == RatingState.fresh(RatingConfig()) for p in pool)
 
 
+def test_an_engine_that_dies_mid_search_loses_only_that_game(tmp_path, monkeypatch):
+    """The first process exits on its third search; the registry restarts the
+    engine for the match's next game, which plays."""
+    engine = tmp_path / "dies_once.py"
+    engine.write_text(
+        textwrap.dedent(
+            f"""\
+            import os, sys
+            from chessarena.core import legal_moves, parse_fen
+
+            marker, searches = {str(tmp_path / "died")!r}, 0
+            for line in sys.stdin:
+                t = line.strip()
+                if t == "uci":
+                    print("id name DiesOnce"); print("uciok", flush=True)
+                elif t == "isready":
+                    print("readyok", flush=True)
+                elif t.startswith("position fen "):
+                    fen = t[len("position fen "):]
+                elif t.startswith("go"):
+                    searches += 1
+                    if searches == 3 and not os.path.exists(marker):
+                        open(marker, "w").close()
+                        sys.exit(1)
+                    print(f"bestmove {{legal_moves(parse_fen(fen))[0].uci}}", flush=True)
+                elif t == "quit":
+                    break
+            """
+        )
+    )
+    starts = []
+    monkeypatch.setattr(arena, "start_engine", lambda *a, **k: starts.append(a) or start_engine(*a, **k))
+    specs = [PlayerSpec(id="dies", kind="uci_engine", engine_command=f"{sys.executable} {engine}"),
+             PlayerSpec(id="rand", kind="random")]
+    pool = fresh_pool(specs)
+    with PlayerRegistry(specs) as registry:
+        records = run_match(MatchRequest("dies", "rand", 4), pool, GameConfig(ply_cap=20), registry, seed=0)
+    assert [r.aborted for r in records] == [True, False, False, False]
+    assert records[0].result_white is None and len(records[0].plies) == 4
+    assert [p.rating.games_played for p in pool] == [3, 3]
+    assert len(starts) == 2
+
+
+def test_a_healthy_engine_match_starts_its_engine_once(monkeypatch):
+    starts = []
+    monkeypatch.setattr(arena, "start_engine", lambda *a, **k: starts.append(a) or start_engine(*a, **k))
+    specs = [toy_spec(), PlayerSpec(id="rand", kind="random")]
+    with PlayerRegistry(specs) as registry:
+        for seed in (1, 2):
+            records = run_match(MatchRequest("toy", "rand", 4), fresh_pool(specs), GameConfig(ply_cap=12),
+                                registry, seed=seed)
+            assert not any(r.aborted for r in records)
+    assert len(starts) == 1
+
+
 def test_engine_player_plays_legally():
     specs = [
         PlayerSpec(id="toy", kind="uci_engine", engine_command=" ".join(TOY_ENGINE_CMD),

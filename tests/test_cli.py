@@ -72,9 +72,14 @@ def test_load_config_other_errors(tmp_path):
         ({"rating": {"init_r": "abc"}}, "rating: init_r must be float, got 'abc'"),
         ({"players": "x"}, "players must be a JSON list, got str"),
         ([1], "config must be a JSON object, got list"),
+        ({"ply_cap": 1}, "config: ply_cap must be at least 2, got 1"),
+        ({"concurrency": 0}, "config: concurrency must be at least 1, got 0"),
+        ({"players": [{"id": "r", "kind": "random"}, {"id": "m", "kind": "llm_api"}]},
+         "players[1]: an llm_api player needs an endpoint"),
     ],
     ids=["min-rd-above-init-rd", "concurrency-not-int", "init-rd-not-number", "init-r-not-number",
-         "players-not-a-list", "config-not-an-object"],
+         "players-not-a-list", "config-not-an-object", "ply-cap-below-2", "concurrency-below-1",
+         "llm-player-without-endpoint"],
 )
 def test_a_malformed_config_is_one_error_line(tmp_path, capsys, config, expected):
     path = tmp_path / "config.json"
@@ -145,6 +150,7 @@ def test_tournament_writes_each_leaderboard_file_once(tmp_path, monkeypatch):
     assert main(["tournament", "--config", str(config), "--rounds", "2"]) == 0
     assert written.count(run_dir / "leaderboard.md") == 1
     assert written.count(run_dir / "leaderboard.json") == 1
+    assert written.count(run_dir / "pool.json") == 1
 
 
 def test_tournament_specified_startup(tmp_path):
@@ -180,6 +186,54 @@ def test_tournament_with_annotation(tmp_path):
     game_file = next((run_dir / "games").glob("*.jsonl"))
     plies = [json.loads(l) for l in game_file.read_text().splitlines()][1:-1]
     assert all(p["q"] is not None and p["in_top3"] is not None for p in plies if p["move"])
+
+
+def test_tournament_annotate_prints_each_players_metrics(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, n_random=3, extra={"ply_cap": 30})
+    args = ["tournament", "--config", str(config), "--rounds", "2"]
+    assert main(args) == 0
+    assert "| Player |" not in capsys.readouterr().out
+    assert main(args + ["--annotate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("| Player | W | L | D | Legal Mv% | Top Mv% |")
+    records = [arena.RunDir(run_dir).read_game(gid) for gid in arena.RunDir(run_dir).game_ids()]
+    expected = []
+    for pid in ("rand-0", "rand-1", "rand-2"):
+        m = arena.compute_secondary_metrics(records, pid)
+        top = "-" if m.top_move_rate is None else f"{100 * m.top_move_rate:.1f}"
+        expected.append(f"| {pid} | {m.wins} | {m.losses} | {m.draws} | {100 * m.legal_move_rate:.1f} | {top} |")
+    assert lines[start + 2 : start + 5] == expected
+    assert lines[start + 5 :] == ["", f"run dir: {run_dir}"]
+
+
+def test_demo_config_tournament_annotates_every_move(tmp_path, capsys):
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+    cfg = load_config(demo)
+    assert [p.id for p in cfg.players] == ["toyfish", "random-0", "random-1", "random-2"]
+    run_dir = tmp_path / "demo"
+    assert main(["tournament", "--config", str(demo), "--rounds", "2", "--annotate",
+                 "--run-dir", str(run_dir)]) == 0
+    games = list((run_dir / "games").glob("*.jsonl"))
+    assert len(games) == 4
+    for game_file in games:
+        plies = [json.loads(line) for line in game_file.read_text().splitlines()][1:-1]
+        assert plies and all(p["q"] is not None for p in plies if p["move"])
+
+
+def test_tournament_stopped_part_way_leaves_the_pool_file_as_it_was(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, extra={"ply_cap": 20})
+    args = ["tournament", "--config", str(config), "--rounds", "3", "--seed", "4"]
+    assert main(args) == 0
+    pool = (run_dir / "pool.json").read_bytes()
+    second_round = json.loads((run_dir / "rounds.jsonl").read_text().splitlines()[1])
+    game_file = run_dir / "games" / f"{second_round['games'][0]}.jsonl"
+    game_file.write_text(game_file.read_text().replace('"seed": ', '"seedd": ', 1))
+    capsys.readouterr()
+    err = _one_error_line(capsys, args)  # round 0 resumes and rates; round 1 stops
+    assert err.startswith(f"error: {game_file}:1: ")
+    assert (run_dir / "pool.json").read_bytes() == pool
 
 
 def test_leaderboard_requires_pool(tmp_path, capsys):
