@@ -192,6 +192,8 @@ def game_id_for(white_id: str, black_id: str, seed: int, index: int) -> str:
 
 
 class Player:
+    handle = None  # the engine process an engine player searches on
+
     def __init__(self, spec: PlayerSpec):
         self.spec = spec
 
@@ -207,12 +209,20 @@ class RandomPlayer(Player):
 
 
 class EnginePlayer(Player):
+    """Searches on `handle`. Its first search starts with `ucinewgame`, so a
+    player built per game or per eval prediction answers from that game
+    alone, whatever the process searched before."""
+
     def __init__(self, spec: PlayerSpec, handle):
         super().__init__(spec)
         self.handle = handle
+        self._new_game = True
 
     def choose(self, view: GameView) -> PlyChoice:
         limits = self.spec.engine_limits or {"depth": 4}
+        if self._new_game:  # queued: it leaves in the search's one write
+            self.handle.send("ucinewgame")
+            self._new_game = False
         move = best_move(self.handle, view.board, limits)
         attempt = MoveAttempt(f"bestmove {move.uci}", OK, move=move)
         return PlyChoice(move, (attempt,))
@@ -259,36 +269,39 @@ def make_player(
 
 
 class PlayerRegistry:
-    """Builds and owns runtime players (and their engine processes). An
-    engine player whose process has died (killed after a timeout, or
-    exited) gets a new one the next time it is asked for."""
+    """Builds runtime players, and owns every engine process they and the
+    command's other engine users (oracle, eval player) search on: one per
+    engine command and options, started on first use, replaced once it has
+    died (killed after a timeout, or exited), and quit by `close`."""
 
     def __init__(self, specs, transports: dict | None = None):
         self.specs = {spec.id: spec for spec in specs}
         if len(self.specs) != len(specs):
             raise ValueError("player ids must be unique")
         self._transports = transports or {}
-        self._players: dict = {}
+        self._engines: dict = {}
 
-    def player(self, player_id: str) -> Player:
-        player = self._players.get(player_id)
-        handle = getattr(player, "handle", None)
-        if player is None or (handle is not None and not handle.alive):
+    def engine(self, command, options: dict | None = None):
+        """The live engine process for `command` and `options`."""
+        key = json.dumps([command, options or {}], sort_keys=True)
+        handle = self._engines.get(key)
+        if handle is None or not handle.alive:
             if handle is not None:
                 handle.quit()
-            spec = self.specs[player_id]
-            if spec.kind == UCI_ENGINE:
-                handle = start_engine(spec.engine_command, spec.engine_options)
-            player = self._players[player_id] = make_player(
-                spec, transport=self._transports.get(player_id), handle=handle
-            )
-        return player
+            handle = self._engines[key] = start_engine(command, options)
+        return handle
+
+    def player(self, player_id: str) -> Player:
+        """A new player for `player_id`; an engine player searches on the
+        registry's process for its command and options."""
+        spec = self.specs[player_id]
+        handle = self.engine(spec.engine_command, spec.engine_options) if spec.kind == UCI_ENGINE else None
+        return make_player(spec, transport=self._transports.get(player_id), handle=handle)
 
     def close(self) -> None:
-        for player in self._players.values():
-            if getattr(player, "handle", None) is not None:
-                player.handle.quit()
-        self._players.clear()
+        for handle in self._engines.values():
+            handle.quit()
+        self._engines.clear()
 
     def __enter__(self):
         return self
@@ -693,12 +706,9 @@ def run_match(
             )
     missing = [index for index, record in enumerate(records) if record is None]
     if missing:
-        for player_id in (req.a_id, req.b_id):
-            registry.player(player_id)  # built on this thread, before the first game
-
         def play(index):
             gid, white_id, black_id, game_seed = games[index]
-            # Asked again per game: an engine that died in the last game is restarted.
+            # Built per game: an engine that died in the last game is restarted.
             white, black = registry.player(white_id), registry.player(black_id)
             record = play_game(white, black, cfg, game_seed, game_id=gid)
             if run_dir is not None:

@@ -9,7 +9,6 @@ overrides; secrets only ever come from environment variables. Exit codes:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -23,7 +22,7 @@ from . import arena, evals
 from .core import BoardState
 from .engine import EngineError, analyze_all_moves, start_engine
 from .jsonlog import LogFileError, write_rows
-from .players import LLM_API, HttpChatTransport, PlayerSpec, RANDOM, TransportError, UCI_ENGINE
+from .players import LLM_API, PlayerSpec, RANDOM, TransportError, UCI_ENGINE
 from .rating import PoolEntry, RatingConfig, RatingState, pool_from_json
 
 DEFAULT_RUN_DIR = "runs/run"
@@ -144,15 +143,13 @@ def build_pool(cfg: RunConfig) -> list:
     ]
 
 
-def _oracle(cfg: RunConfig, annotate: bool):
-    """The engine that annotates games, as a context manager; started before
-    the first game so a bad engine.path fails fast. A null context (None)
-    without --annotate."""
-    if not annotate:
-        return contextlib.nullcontext()
+def _oracle(cfg: RunConfig, registry: arena.PlayerRegistry):
+    """The engine that annotates games: the registry's live process for
+    engine.path and engine.options. Asked for before the first game, so a
+    bad engine.path fails fast, and again before annotation."""
     if not cfg.engine.path:
         raise UserError("annotation requires engine.path in the config")
-    return start_engine(cfg.engine.path, cfg.engine.options)
+    return registry.engine(cfg.engine.path, cfg.engine.options)
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +169,23 @@ def cmd_tournament(args) -> int:
         startup_id = args.startup.split(":", 1)[1]
         cfg.spec(startup_id)
     seed = cfg.seed if args.seed is None else args.seed
-    with _oracle(cfg, args.annotate) as oracle:
-        with arena.PlayerRegistry(cfg.players) as registry:
-            pool = arena.run_tournament(
-                pool,
-                rounds=args.rounds,
-                registry=registry,
-                cfg=cfg.game_config,
-                games_per_match=args.games_per_match,
-                startup_id=startup_id,
-                seed=seed,
-                run_dir=run_dir,
-                stop_rd=args.stop_rd,
-            )
-        if oracle is not None:
+    with arena.PlayerRegistry(cfg.players) as registry:
+        if args.annotate:
+            _oracle(cfg, registry)
+        pool = arena.run_tournament(
+            pool,
+            rounds=args.rounds,
+            registry=registry,
+            cfg=cfg.game_config,
+            games_per_match=args.games_per_match,
+            startup_id=startup_id,
+            seed=seed,
+            run_dir=run_dir,
+            stop_rd=args.stop_rd,
+        )
+        if args.annotate:
             records = [r for r in map(run_dir.read_game, run_dir.game_ids()) if r is not None]
-            arena.annotate_games(records, oracle, cfg.engine.depth, run_dir)
+            arena.annotate_games(records, _oracle(cfg, registry), cfg.engine.depth, run_dir)
     # run_tournament wrote the leaderboard files; this prints the same table.
     print(arena.render_leaderboard(arena.compute_leaderboard(pool, cfg.rating)))
     if args.annotate:
@@ -205,15 +203,16 @@ def cmd_match(args) -> int:
     pool = build_pool(cfg)
     seed = cfg.seed if args.seed is None else args.seed
     req = arena.MatchRequest(args.white, args.black, args.n)
-    with _oracle(cfg, args.annotate) as oracle:
-        with arena.PlayerRegistry(cfg.players) as registry:
-            records = arena.run_match(req, pool, cfg.game_config, registry, run_dir=run_dir, seed=seed)
+    with arena.PlayerRegistry(cfg.players) as registry:
+        if args.annotate:
+            _oracle(cfg, registry)
+        records = arena.run_match(req, pool, cfg.game_config, registry, run_dir=run_dir, seed=seed)
         # Resumed games come back without their plies, which annotation and
         # the per-game line need; a ply row that does not decode stops here,
         # before any file is written.
         records = [run_dir.read_game(r.game_id) if r.plies is None else r for r in records]
-        if oracle is not None:
-            arena.annotate_games(records, oracle, cfg.engine.depth, run_dir)
+        if args.annotate:
+            arena.annotate_games(records, _oracle(cfg, registry), cfg.engine.depth, run_dir)
     run_dir.write_pool(pool)
     run_dir.write_leaderboard(arena.compute_leaderboard(pool, cfg.rating))
     for record in records:
@@ -226,13 +225,12 @@ def cmd_game(args) -> int:
     run_dir = arena.RunDir(resolve_run_dir(args.run_dir, cfg))
     cfg.spec(args.white), cfg.spec(args.black)
     seed = cfg.seed if args.seed is None else args.seed
-    with _oracle(cfg, args.annotate) as oracle:
-        with arena.PlayerRegistry(cfg.players) as registry:
-            record = arena.play_game(
-                registry.player(args.white), registry.player(args.black), cfg.game_config, seed
-            )
-        if oracle is not None:
-            arena.annotate_games([record], oracle, cfg.engine.depth, run_dir)
+    with arena.PlayerRegistry(cfg.players) as registry:
+        if args.annotate:
+            _oracle(cfg, registry)
+        record = arena.play_game(registry.player(args.white), registry.player(args.black), cfg.game_config, seed)
+        if args.annotate:
+            arena.annotate_games([record], _oracle(cfg, registry), cfg.engine.depth, run_dir)
         else:
             run_dir.write_game(record)
     _print_game_line(record, run_dir)
@@ -249,14 +247,6 @@ def _print_game_line(record, run_dir) -> None:
         f"{record.game_id}: {record.white_id} vs {record.black_id} -> {outcome} "
         f"({len(record.plies)} plies) {run_dir.game_path(record.game_id)}"
     )
-
-
-def _eval_handle(spec: PlayerSpec):
-    """The engine an engine player searches on, as a context manager; a null
-    context (None) for other kinds."""
-    if spec.kind != UCI_ENGINE:
-        return contextlib.nullcontext()
-    return start_engine(spec.engine_command, spec.engine_options)
 
 
 def _require_file(path, what: str) -> Path:
@@ -286,15 +276,7 @@ def cmd_eval_basic(args) -> int:
     spec = cfg.spec(args.player)
     if spec.kind != LLM_API:
         raise UserError("basic understanding needs an llm_api player")
-    transport = HttpChatTransport(spec)
-    responses = []
-    for item in items:
-        messages = evals.build_basic_understanding_prompt(item.fen, item.square)
-        try:
-            responses.append(transport.complete(messages).text)
-        except TransportError as exc:
-            responses.append(f"<transport failure: {exc}>")
-    report = evals.EvalReport.basic(evals.score_basic_understanding(items, responses))
+    report = evals.EvalReport.basic(evals.run_basic_understanding(spec, items, workers=cfg.concurrency))
     report.write_jsonl(out.with_suffix(".report.jsonl"))
     print(report.render())
     return 0
@@ -311,9 +293,10 @@ def cmd_eval_moves(args) -> int:
     if not items:
         raise UserError(f"no items in {args.items}")
     spec = _player_spec(cfg, args.player)
-    with _eval_handle(spec) as handle:
+    with arena.PlayerRegistry([spec]) as registry:
         scores = evals.run_move_selection(
-            spec, items, handle=handle, rng=random.Random(args.seed), workers=cfg.concurrency
+            spec, items, handle=registry.player(spec.id).handle, rng=random.Random(args.seed),
+            workers=cfg.concurrency,
         )
     report = evals.EvalReport.moves(scores)
     out = Path(args.out or "moves.report.jsonl")
@@ -336,9 +319,10 @@ def cmd_eval_puzzles(args) -> int:
     if not puzzles:
         raise UserError("no puzzles matched the filters")
     spec = _player_spec(cfg, args.player, depth=args.depth)
-    with _eval_handle(spec) as handle:
+    with arena.PlayerRegistry([spec]) as registry:
         outcomes = evals.run_puzzles(
-            spec, puzzles, handle=handle, rng=random.Random(args.seed), workers=cfg.concurrency
+            spec, puzzles, handle=registry.player(spec.id).handle, rng=random.Random(args.seed),
+            workers=cfg.concurrency,
         )
     report = evals.EvalReport.puzzles(outcomes)
     out = Path(args.out or "puzzles.report.jsonl")

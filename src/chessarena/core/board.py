@@ -26,8 +26,9 @@ CASTLE_WK, CASTLE_WQ, CASTLE_BK, CASTLE_BQ = 1, 2, 4, 8
 class Castling(NamedTuple):
     """One castling move, as square indices: its FEN letter and right bit, the
     king's and the rook's from and to squares, the squares between king and
-    rook (which must be empty), and the squares the king stands on, crosses
-    and lands on (which no enemy may attack)."""
+    rook (which must be empty), and the squares the king crosses and lands on
+    (which no enemy may attack). The king's own square needs no test here:
+    only a king that is not in check may castle."""
 
     letter: str
     right: int
@@ -42,10 +43,10 @@ class Castling(NamedTuple):
 # Every castling decision reads this table. Order: FEN order, which is also
 # generation order (each side's kingside first).
 CASTLINGS = (
-    Castling("K", CASTLE_WK, 4, 6, 7, 5, (5, 6), (4, 5, 6)),
-    Castling("Q", CASTLE_WQ, 4, 2, 0, 3, (1, 2, 3), (4, 3, 2)),
-    Castling("k", CASTLE_BK, 60, 62, 63, 61, (61, 62), (60, 61, 62)),
-    Castling("q", CASTLE_BQ, 60, 58, 56, 59, (57, 58, 59), (60, 59, 58)),
+    Castling("K", CASTLE_WK, 4, 6, 7, 5, (5, 6), (5, 6)),
+    Castling("Q", CASTLE_WQ, 4, 2, 0, 3, (1, 2, 3), (3, 2)),
+    Castling("k", CASTLE_BK, 60, 62, 63, 61, (61, 62), (61, 62)),
+    Castling("q", CASTLE_BQ, 60, 58, 56, 59, (57, 58, 59), (59, 58)),
 )
 # (king_from, king_to) -> (rook_from, rook_to): a king move is castling
 # exactly when it is a key here.

@@ -347,9 +347,11 @@ def analyze_all_moves(
 def analyze_positions(handle: EngineHandle, fens, depth: int, timeout: float = DEFAULT_SEARCH_TIMEOUT):
     """Yield the analysis of each of `fens`, in order, with the next search
     queued before an answer is read: the engine computes it while this side
-    parses. At most one search is ahead, so neither pipe can fill. When a
-    search fails or the caller stops early, the searches already sent are
-    read to their `bestmove` first, so no later search reads their lines."""
+    parses. At most one search is ahead, so neither pipe can fill. Each
+    search starts with `ucinewgame`, so an analysis depends on its position
+    alone, never on what the process searched before. When a search fails or
+    the caller stops early, the searches already sent are read to their
+    `bestmove` first, so no later search reads their lines."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     searches = deque()
@@ -363,6 +365,7 @@ def analyze_positions(handle: EngineHandle, fens, depth: int, timeout: float = D
         while sent or searches:
             while searches and len(sent) < 2:  # the one read next, and one ahead
                 fen, legal_ucis = searches.popleft()
+                handle.send("ucinewgame")  # no earlier search may colour this one
                 handle.set_option("MultiPV", len(legal_ucis))  # the engine applies it before the search
                 handle.send(f"position fen {fen}")
                 handle.send(f"go depth {depth}")

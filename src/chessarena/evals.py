@@ -34,11 +34,13 @@ from .jsonlog import write_rows
 from .players import (
     BLITZ,
     ChatMessage,
+    HttpChatTransport,
     LLM_API,
     MoveAttempt,
     OK,
     PLAY_MODES,
     PlayerSpec,
+    TransportError,
     extract_candidate,
     extract_move,
     random_player_move,
@@ -271,6 +273,23 @@ def score_basic_understanding(items, responses) -> dict:
         "recall": 100.0 * tp / exp_total if exp_total else 0.0,
         "rows": rows,
     }
+
+
+def run_basic_understanding(spec: PlayerSpec, items, *, transport=None, workers: int = 1) -> dict:
+    """`score_basic_understanding` of a model player's replies to `items`,
+    asked through `transport` (HTTP to the spec's endpoint without one), on
+    up to `workers` threads (see `_width`); replies keep item order. A
+    transport failure is the reply `<transport failure: ...>`, which does not
+    parse."""
+    transport = transport or HttpChatTransport(spec)
+
+    def ask(item):
+        try:
+            return transport.complete(build_basic_understanding_prompt(item.fen, item.square)).text
+        except TransportError as exc:
+            return f"<transport failure: {exc}>"
+
+    return score_basic_understanding(items, fan_out(ask, items, _width(spec, workers)))
 
 
 # ---------------------------------------------------------------------------

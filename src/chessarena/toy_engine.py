@@ -201,7 +201,7 @@ def run(stdin=None, stdout=None) -> None:
         stdout.write("".join(line + "\n" for line in lines))
         stdout.flush()
 
-    state = parse_fen(START_FEN)
+    start = state = parse_fen(START_FEN)  # a frozen BoardState, reused on each ucinewgame
     multipv = 1
     for raw_line in stdin:
         line = raw_line.strip()
@@ -227,7 +227,7 @@ def run(stdin=None, stdout=None) -> None:
                 if name.lower() == "multipv":
                     multipv = max(1, int(value))
         elif cmd == "ucinewgame":
-            state = parse_fen(START_FEN)
+            state = start
         elif cmd == "position":
             state = _set_position(rest)
         elif cmd == "go":

@@ -142,6 +142,44 @@ def listing_engine(tmp_path, bad_search=0, bad_line=""):
     return [sys.executable, str(path)]
 
 
+def stateful_engine(tmp_path) -> str:
+    """The command of a UCI engine whose answers depend on how many searches
+    it has run since `ucinewgame`: search n lists every legal move i at
+    `score cp 10 * ((i + n) % moves)` and plays move `n % moves`."""
+    path = tmp_path / "stateful_engine.py"
+    path.write_text(
+        textwrap.dedent(
+            """\
+            import sys
+            from chessarena.core import legal_moves, parse_fen
+
+            searches = 0
+            for line in sys.stdin:
+                t = line.strip()
+                if t == "uci":
+                    print("id name Stateful")
+                    print("uciok", flush=True)
+                elif t == "isready":
+                    print("readyok", flush=True)
+                elif t == "ucinewgame":
+                    searches = 0
+                elif t.startswith("position fen "):
+                    fen = t[len("position fen "):]
+                elif t.startswith("go"):
+                    moves = legal_moves(parse_fen(fen))
+                    rows = [f"info depth 1 multipv {i} score cp {10 * ((i + searches) % len(moves))} pv {m.uci}"
+                            for i, m in enumerate(moves, 1)]
+                    rows.append(f"bestmove {moves[searches % len(moves)].uci}")
+                    print("\\n".join(rows), flush=True)
+                    searches += 1
+                elif t == "quit":
+                    break
+            """
+        )
+    )
+    return f"{sys.executable} {path}"
+
+
 @pytest.fixture
 def toy_engine_cmd():
     return TOY_ENGINE_CMD

@@ -30,11 +30,18 @@ from chessarena.arena import (
     verify_replay,
 )
 from chessarena.core import FORFEIT, FIVEFOLD_REPETITION
-from chessarena.engine import AnalysisCache, EngineProtocolError, analyze_all_moves, best_move, start_engine
+from chessarena.engine import (
+    AnalysisCache,
+    EngineError,
+    EngineProtocolError,
+    analyze_all_moves,
+    best_move,
+    start_engine,
+)
 from chessarena.players import ChatResponse, PlayerSpec
 from chessarena.rating import MatchOutcome, PoolEntry, RatingConfig, RatingState
 
-from conftest import TOY_ENGINE_CMD, LoopingTransport, ScriptedTransport, listing_engine
+from conftest import TOY_ENGINE_CMD, LoopingTransport, ScriptedTransport, listing_engine, stateful_engine
 from oracle_glicko import ref_update
 
 FORFEIT_JUNK = ["junk"] * 5
@@ -331,6 +338,83 @@ def test_engine_player_plays_legally():
         )
     assert not record.aborted
     verify_replay(record)
+
+
+def test_the_registry_hands_out_one_engine_per_command_and_options():
+    specs = [toy_spec("a"), toy_spec("b"), dataclasses.replace(toy_spec("c"), engine_options={"Hash": 8})]
+    with PlayerRegistry(specs) as registry:
+        shared = registry.engine(" ".join(TOY_ENGINE_CMD))
+        assert registry.engine(" ".join(TOY_ENGINE_CMD), {}) is shared
+        assert registry.player("a").handle is registry.player("b").handle is shared
+        other = registry.player("c").handle
+        assert other is not shared and other is registry.engine(" ".join(TOY_ENGINE_CMD), {"Hash": 8})
+        assert shared.alive and other.alive
+
+
+def test_the_registry_replaces_a_killed_engine():
+    with PlayerRegistry([toy_spec()]) as registry:
+        first = registry.player("toy").handle
+        first._proc.kill()
+        first._proc.wait()
+        second = registry.player("toy").handle
+        assert second is not first and second.alive and not first.alive
+        assert registry.engine(" ".join(TOY_ENGINE_CMD)) is second
+
+
+@pytest.mark.parametrize("raised", [None, EngineError, KeyboardInterrupt], ids=["return", "engine-error", "interrupt"])
+def test_the_registry_quits_every_engine_on_exit(raised):
+    handles = []
+
+    def command():
+        with PlayerRegistry([toy_spec()]) as registry:
+            handles.append(registry.player("toy").handle)
+            handles.append(registry.engine(TOY_ENGINE_CMD, {"Hash": 8}))
+            if raised is not None:
+                raise raised("stop")
+
+    if raised is None:
+        command()
+    else:
+        with pytest.raises(raised):
+            command()
+    assert len(handles) == 2 and not any(handle.alive for handle in handles)
+    assert all(handle._proc.returncode is not None for handle in handles)
+
+
+def test_an_engine_player_starts_each_game_with_ucinewgame(tmp_path):
+    """Only a player's first search of a game carries `ucinewgame`, in the
+    same write as its `position` and `go`."""
+    specs = [PlayerSpec(id="eng", kind="uci_engine", engine_command=" ".join(listing_engine(tmp_path)),
+                        engine_limits={"depth": 1}), PlayerSpec(id="rand", kind="random")]
+    with PlayerRegistry(specs) as registry:
+        records = run_match(MatchRequest("eng", "rand", 2), fresh_pool(specs), GameConfig(ply_cap=8), registry)
+    commands = (tmp_path / "commands.log").read_text().splitlines()
+    assert commands[:2] == ["uci", "ucinewgame"]  # the handshake's
+    first_game = commands[commands.index("isready") + 1:]
+    assert first_game[:3] == ["ucinewgame", f"position fen {records[0].plies[0].fen_before}", "go depth 1"]
+    assert commands.count("ucinewgame") == 1 + len(records)
+    assert sum(c.startswith("go ") for c in commands) == sum(len(r.plies) for r in records) // 2
+
+
+def test_a_stateful_engine_annotates_a_game_alone_as_after_another(tmp_path):
+    """The analysis of a position does not depend on what the process
+    searched before, so a game's annotation and its file are the same
+    whether another game was annotated first."""
+    command = stateful_engine(tmp_path)
+    registry = PlayerRegistry(random_specs())
+    game_a, game_b = (
+        play_game(registry.player("rand-0"), registry.player("rand-1"), GameConfig(ply_cap=10), seed=seed)
+        for seed in (1, 2)
+    )
+    annotations = []
+    for name, records in (("alone", [game_b]), ("after", [game_a, game_b])):
+        with PlayerRegistry([]) as engines:
+            arena.annotate_games(records, engines.engine(command), 1, RunDir(tmp_path / name))
+        annotations.append([(p.q, p.in_top3) for p in game_b.plies])
+    assert annotations[0] == annotations[1]
+    assert len({q for q, _ in annotations[0]}) > 1
+    game_file = f"games/{game_b.game_id}.jsonl"
+    assert (tmp_path / "alone" / game_file).read_bytes() == (tmp_path / "after" / game_file).read_bytes()
 
 
 def test_run_tournament_two_player_pool_always_pairs_them(tmp_path):

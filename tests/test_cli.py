@@ -10,9 +10,10 @@ from chessarena.cli import UserError, load_config, main
 from chessarena.engine import start_engine
 from chessarena.evals import MoveSelectionItem, save_move_items
 
-from conftest import PUZZLES_CSV, playout
+from conftest import PUZZLES_CSV, playout, stateful_engine
 
 TOY_CMD = f"{sys.executable} -m chessarena.toy_engine"
+DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
 
 
 def write_config(tmp_path, run_dir=None, extra=None, n_random=4):
@@ -508,7 +509,7 @@ def test_annotated_commands_start_the_oracle_once(tmp_path, monkeypatch, argv):
         starts.append(args)
         return start_engine(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "start_engine", counting_start)
+    monkeypatch.setattr(arena, "start_engine", counting_start)
     config = write_config(tmp_path, run_dir=tmp_path / "run", n_random=2,
                           extra={"ply_cap": 12, "engine": {"path": TOY_CMD, "depth": 1}})
     assert main(argv + ["--config", str(config), "--annotate"]) == 0
@@ -516,6 +517,58 @@ def test_annotated_commands_start_the_oracle_once(tmp_path, monkeypatch, argv):
     plies = [json.loads(line) for path in (tmp_path / "run" / "games").glob("*.jsonl")
              for line in path.read_text().splitlines()[1:-1]]
     assert plies and all(p["q"] is not None for p in plies if p["move"])
+
+
+@pytest.mark.parametrize("same_options, engines", [(True, 1), (False, 2)], ids=["same-options", "demo"])
+def test_an_engine_player_shares_the_oracle_process_when_command_and_options_match(
+    tmp_path, monkeypatch, capsys, same_options, engines
+):
+    starts = []
+    monkeypatch.setattr(arena, "start_engine", lambda *a, **k: starts.append(a) or start_engine(*a, **k))
+    config = DEMO
+    if same_options:
+        data = json.loads(DEMO.read_text())
+        assert data["players"][0]["engine_command"] == data["engine"]["path"]
+        data["players"][0]["engine_options"] = load_config(DEMO).engine.options
+        config = tmp_path / "shared.json"
+        config.write_text(json.dumps(data))
+    assert main(["tournament", "--config", str(config), "--rounds", "1", "--startup", "specified:toyfish",
+                 "--annotate", "--run-dir", str(tmp_path / "run")]) == 0
+    assert len(starts) == engines
+
+
+def _untimed_rows(path) -> list:
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows:
+        row.pop("started_at", None), row.pop("finished_at", None)
+    return rows
+
+
+def test_a_resumed_stateful_engine_match_equals_an_uninterrupted_one(tmp_path, capsys):
+    """An engine whose answers depend on its searches since `ucinewgame`
+    plays and annotates (one process: same command and options) a 4-game
+    match. Resumed with only game 0's file kept, the match writes the games,
+    pool and analysis log of an uninterrupted run."""
+    command = stateful_engine(tmp_path)
+    players = [{"id": "eng", "kind": "uci_engine", "engine_command": command,
+                "engine_options": cli.EngineConfig().options, "engine_limits": {"depth": 1}},
+               {"id": "rand-0", "kind": "random"}]
+    config = write_config(tmp_path, extra={"players": players, "ply_cap": 16, "engine": {"path": command, "depth": 1}})
+    match = ["match", "--config", str(config), "--white", "eng", "--black", "rand-0", "--n", "4"]
+    whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+    assert main(match + ["--annotate", "--run-dir", str(whole)]) == 0
+    assert main(match + ["--run-dir", str(resumed)]) == 0
+    first = arena.game_id_for("eng", "rand-0", arena.derive_seed(0, "game:0"), 0)
+    for path in (resumed / "games").glob("*.jsonl"):
+        if path.stem != first:
+            path.unlink()
+    assert main(match + ["--annotate", "--run-dir", str(resumed)]) == 0
+    games = sorted(path.name for path in (whole / "games").iterdir())
+    assert len(games) == 4 and sorted(path.name for path in (resumed / "games").iterdir()) == games
+    for name in games:
+        assert _untimed_rows(resumed / "games" / name) == _untimed_rows(whole / "games" / name)
+    for name in ("pool.json", "leaderboard.json", "analysis/analyses.jsonl"):
+        assert (resumed / name).read_bytes() == (whole / name).read_bytes()
 
 
 def test_reannotating_a_finished_run_dir_writes_no_game_file(tmp_path, monkeypatch):

@@ -586,7 +586,7 @@ def test_each_request_leaves_in_one_write(monkeypatch):
         handle.quit()
     assert writes == [
         f"position fen {fen}\ngo depth 2\n".encode(),
-        f"setoption name MultiPV value 20\nposition fen {fen}\ngo depth 1\n".encode(),  # no isready
+        f"ucinewgame\nsetoption name MultiPV value 20\nposition fen {fen}\ngo depth 1\n".encode(),  # no isready
         f"setoption name MultiPV value 1\nposition fen {fen}\ngo depth 2\n".encode(),
     ]
 
@@ -600,7 +600,7 @@ def test_queued_searches_leave_one_ahead(monkeypatch, toy_handle):
 
     fens = [playout(seed, 8).fen for seed in range(3)]
     request = [
-        f"setoption name MultiPV value {len(legal_moves(parse_fen(fen)))}\nposition fen {fen}\ngo depth 1\n"
+        f"ucinewgame\nsetoption name MultiPV value {len(legal_moves(parse_fen(fen)))}\nposition fen {fen}\ngo depth 1\n"
         for fen in fens
     ]
     monkeypatch.setattr(engine_module, "os", SimpleNamespace(write=recording_write, read=os.read))

@@ -12,6 +12,7 @@ from chessarena.core import BoardState, legal_moves, legal_moves_for_square, par
 from chessarena.engine import AnalysisTable, MoveEval, Score, top_moves_of, win_rate_from_score
 from chessarena.evals import (
     BasicUnderstandingItem,
+    EvalReport,
     MoveSelectionItem,
     bucket_label,
     build_basic_understanding_prompt,
@@ -21,13 +22,14 @@ from chessarena.evals import (
     parse_basic_response,
     psa_report,
     rl_reward,
+    run_basic_understanding,
     run_move_selection,
     run_puzzle,
     save_move_items,
     score_basic_understanding,
 )
 from chessarena.arena import GameConfig, GameView, LlmPlayer, RandomPlayer, make_player, play_game
-from chessarena.players import PlayerSpec
+from chessarena.players import ChatResponse, PlayerSpec, TransportError
 from chessarena.core import MoveToken
 
 from conftest import PUZZLES_CSV, ScriptedTransport, playout, playout_with_moves
@@ -173,6 +175,34 @@ def test_score_basic_piece_symbol_case_sensitive():
 def test_score_basic_rejects_length_mismatch():
     with pytest.raises(ValueError):
         score_basic_understanding([make_item(START, "g1")], [])
+
+
+def test_basic_run_keeps_item_order_at_any_width_and_a_failed_call_is_unparsed(tmp_path):
+    items = build_basic_understanding_set(corpus_fens(10), 16, seed=2)
+    failing = (items[5].fen, items[5].square)
+    spec = PlayerSpec(id="llm", kind="llm_api", endpoint="stub")
+
+    class AnswerFromTheRules:
+        """Answers each item correctly, except that the call for `failing` fails."""
+
+        def complete(self, messages):
+            fen_line, square_line = messages[-1].content.splitlines()
+            fen, square = fen_line.split(":", 1)[1], square_line.split(":", 1)[1]
+            if (fen, square) == failing:
+                raise TransportError("endpoint down")
+            piece, moves = legal_moves_for_square(parse_fen(fen), square)
+            time.sleep(0.001)  # let the other worker answer in between
+            return ChatResponse(text=answer(piece.symbol if piece else None, [m.uci for m in moves]))
+
+    reports = []
+    for workers in (1, 2):
+        scores = run_basic_understanding(spec, items, transport=AnswerFromTheRules(), workers=workers)
+        path = tmp_path / f"workers-{workers}.jsonl"
+        EvalReport.basic(scores).write_jsonl(path)
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+    assert [row["parsed"] for row in scores["rows"]] == [(i.fen, i.square) != failing for i in items]
+    assert scores["pma"] == pytest.approx(100 * sum(row["parsed"] for row in scores["rows"]) / len(items))
 
 
 # ---------------------------------------------------------------------------
