@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+from . import UserError
 from .core import (
     BLACK,
     BoardState,
@@ -432,10 +433,6 @@ def annotate_games(records, handle, depth: int, run_dir: RunDir) -> None:
 # Persistence
 
 
-class GameFileError(ValueError):
-    """A finished game file with a row that does not decode."""
-
-
 def encode_game(record: GameRecord) -> str:
     """The game file's text: a header row, one row per ply, a footer row."""
     rows = [
@@ -478,16 +475,12 @@ def _attempt(row) -> MoveAttempt:
     return MoveAttempt(**row)
 
 
-def _bad_row(where, number: int, exc: Exception) -> GameFileError:
-    return GameFileError(f"{where}:{number}: {type(exc).__name__}: {exc}")
-
-
 def decode_result(lines, where) -> GameRecord | None:
     """The game `encode_game` wrote as `lines` (text, or bytes when the file
     is not UTF-8), from its header and footer rows only: a record whose
     `plies` is None. None when the last line is not a footer row (missing,
     torn or not UTF-8): the game is unfinished. A header or footer row that
-    does not decode raises GameFileError naming `where` and the line."""
+    does not decode raises UserError naming `where` and the line."""
     try:
         footer = _row(lines[-1], "footer")
     except (IndexError, ValueError):
@@ -513,13 +506,13 @@ def decode_result(lines, where) -> GameRecord | None:
             **started,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise _bad_row(where, number, exc) from None
+        raise UserError.at(where, number, exc) from None
 
 
 def decode_game(lines, where) -> GameRecord | None:
     """The game `encode_game` wrote as `lines`, plies included: the record of
     `decode_result`, whose errors it raises, and then every ply row. A ply
-    row that does not decode raises GameFileError naming `where` and the
+    row that does not decode raises UserError naming `where` and the
     line."""
     record = decode_result(lines, where)
     if record is None:
@@ -531,7 +524,7 @@ def decode_game(lines, where) -> GameRecord | None:
             attempts = tuple(map(_attempt, row.pop("attempts")))
             plies.append(PlyRecord(attempts=attempts, **row))
     except (KeyError, TypeError, ValueError, ChessError) as exc:
-        raise _bad_row(where, number, exc) from None
+        raise UserError.at(where, number, exc) from None
     record.plies = plies
     return record
 
@@ -699,7 +692,7 @@ def run_match(
     for game, record in zip(games, records):
         if record is not None and (record.game_id, record.white_id, record.black_id, record.seed) != game:
             gid, white_id, black_id, game_seed = game
-            raise GameFileError(
+            raise UserError(
                 f"{run_dir.game_path(gid)}: header is game {record.game_id}, {record.white_id} vs "
                 f"{record.black_id}, seed {record.seed}; expected game {gid}, {white_id} vs "
                 f"{black_id}, seed {game_seed}"

@@ -18,19 +18,15 @@ import typing
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from . import arena, evals
+from . import UserError, arena, evals
 from .core import BoardState
 from .engine import EngineError, analyze_all_moves, start_engine
-from .jsonlog import LogFileError, write_rows
+from .jsonlog import write_rows
 from .players import LLM_API, PlayerSpec, RANDOM, TransportError, UCI_ENGINE
 from .rating import PoolEntry, RatingConfig, RatingState, pool_from_json
 
 DEFAULT_RUN_DIR = "runs/run"
 RUN_DIR_ENV = "CHESSARENA_RUN_DIR"
-
-
-class UserError(Exception):
-    """Operator mistake: bad config, missing input, unknown player."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ def load_config(path) -> RunConfig:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise UserError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for a file that is not UTF-8
         raise UserError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UserError(f"config must be a JSON object, got {type(data).__name__}")
@@ -229,10 +225,10 @@ def cmd_game(args) -> int:
         if args.annotate:
             _oracle(cfg, registry)
         record = arena.play_game(registry.player(args.white), registry.player(args.black), cfg.game_config, seed)
+        # Written before annotation, so a failing oracle keeps the game.
+        run_dir.write_game(record)
         if args.annotate:
             arena.annotate_games([record], _oracle(cfg, registry), cfg.engine.depth, run_dir)
-        else:
-            run_dir.write_game(record)
     _print_game_line(record, run_dir)
     return 0
 
@@ -257,11 +253,13 @@ def _require_file(path, what: str) -> Path:
 
 
 def cmd_eval_basic(args) -> int:
+    if args.player:  # resolved before any file is written
+        cfg = load_config(args.config) if args.config else RunConfig()
+        spec = cfg.spec(args.player)
+        if spec.kind != LLM_API:
+            raise UserError("basic understanding needs an llm_api player")
     if args.fens:
-        try:
-            fens = evals.load_fens(_require_file(args.fens, "FEN file"))
-        except ValueError as exc:
-            raise UserError(str(exc)) from None
+        fens = evals.load_fens(_require_file(args.fens, "FEN file"))
         if not fens:
             raise UserError(f"no FENs in {args.fens}")
     else:
@@ -272,10 +270,6 @@ def cmd_eval_basic(args) -> int:
     print(f"wrote {len(items)} items to {out}")
     if not args.player:
         return 0
-    cfg = load_config(args.config) if args.config else RunConfig()
-    spec = cfg.spec(args.player)
-    if spec.kind != LLM_API:
-        raise UserError("basic understanding needs an llm_api player")
     report = evals.EvalReport.basic(evals.run_basic_understanding(spec, items, workers=cfg.concurrency))
     report.write_jsonl(out.with_suffix(".report.jsonl"))
     print(report.render())
@@ -284,10 +278,7 @@ def cmd_eval_basic(args) -> int:
 
 def cmd_eval_moves(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    try:
-        items = evals.load_move_items(_require_file(args.items, "items file"))
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
+    items = evals.load_move_items(_require_file(args.items, "items file"))
     if args.max:
         items = items[: args.max]
     if not items:
@@ -307,15 +298,12 @@ def cmd_eval_moves(args) -> int:
 
 def cmd_eval_puzzles(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    try:
-        puzzles = evals.load_lichess_puzzles(
-            _require_file(args.csv, "puzzle CSV"),
-            min_rating=args.min_rating,
-            max_rating=args.max_rating,
-            limit=args.max,
-        )
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
+    puzzles = evals.load_lichess_puzzles(
+        _require_file(args.csv, "puzzle CSV"),
+        min_rating=args.min_rating,
+        max_rating=args.max_rating,
+        limit=args.max,
+    )
     if not puzzles:
         raise UserError("no puzzles matched the filters")
     spec = _player_spec(cfg, args.player, depth=args.depth)
@@ -475,7 +463,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, arena.GameFileError, LogFileError) as exc:
+    except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EngineError, TransportError) as exc:

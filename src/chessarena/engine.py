@@ -21,8 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import UserError
 from .core import BoardState, ChessError, MoveToken, legal_moves, parse_fen
-from .jsonlog import LogFileError, append_row, read_rows
+from .jsonlog import append_row, read_rows
 
 DEFAULT_HANDSHAKE_TIMEOUT = 10.0
 DEFAULT_SEARCH_TIMEOUT = 600.0
@@ -459,7 +460,7 @@ class AnalysisCache:
             try:
                 self._rows[row["engine"], row["fen"], row["depth"]] = (self._count, text)
             except (KeyError, TypeError) as exc:  # a key field missing or unhashable
-                raise LogFileError(self._log, self._count, exc) from None
+                raise UserError.at(self._log, self._count, exc) from None
 
     def get(self, engine_id: str, fen: str, depth: int) -> AnalysisTable | None:
         entry = self._rows.get((engine_id, fen, depth))
@@ -469,7 +470,7 @@ class AnalysisCache:
         try:
             return table_from_dict(json.loads(text))
         except (KeyError, TypeError, ValueError, ChessError) as exc:
-            raise LogFileError(self._log, number, exc) from None
+            raise UserError.at(self._log, number, exc) from None
 
     def put(self, engine_id: str, table: AnalysisTable) -> None:
         text = append_row(self._log, {"engine": engine_id, **table_to_dict(table)})

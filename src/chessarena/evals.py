@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
+from . import UserError
 from .arena import GameView, fan_out, make_player
 from .core import (
     BoardState,
@@ -304,12 +305,9 @@ def predict_move(
     transport=None,
     handle=None,
     rng: random.Random | None = None,
-    template_mode: str | None = None,
 ) -> MoveAttempt:
-    """One move by the arena's player for `spec`, with a single attempt. LLM
-    players are prompted with `template_mode` when the task pins one; random
-    players draw from `rng`."""
-    spec = replace(spec, play_mode=template_mode or spec.play_mode)
+    """One move by the arena's player for `spec`, with a single attempt;
+    random players draw from `rng`."""
     player = make_player(spec, transport=transport, handle=handle, max_attempts=1)
     view = GameView(board, tuple(history or ()), board.side_to_move, rng)
     return player.choose(view).attempts[0]
@@ -349,15 +347,17 @@ def run_move_selection(
     An illegal or unparseable prediction scores Q = 0, contributing -100% to
     its item. Items whose average win rate is zero cannot be normalized and
     are excluded from MAR (counted separately). Items for API-backed players
-    can run on `workers` threads (see `_width`). Random players draw from
-    `rng`, or from `random.Random(0)` without one.
+    can run on `workers` threads (see `_width`). A model player is prompted
+    in each item's mode, with the legal moves exactly when its `legal_flag`
+    is set. Random players draw from `rng`, or from `random.Random(0)`
+    without one.
     """
     rng = rng or random.Random(0)
 
     def ask(item):
         return predict_move(
-            spec, parse_fen(item.fen), item.history, transport=transport,
-            handle=handle, rng=rng, template_mode=item.mode,
+            replace(spec, play_mode=item.mode, provide_legal_moves=item.legal_flag),
+            parse_fen(item.fen), item.history, transport=transport, handle=handle, rng=rng,
         )
 
     attempts = fan_out(ask, items, _width(spec, workers))
@@ -419,12 +419,12 @@ def save_move_items(items, path) -> None:
 
 def _utf8_lines(fh, path):
     """The lines of a binary file as text; a line that is not UTF-8 raises
-    ValueError naming the file and the line."""
+    UserError naming the file and the line."""
     for number, raw in enumerate(fh, 1):
         try:
             yield raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}:{number}: not UTF-8 text ({exc.reason})") from None
+            raise UserError(f"{path}:{number}: not UTF-8 text ({exc.reason})") from None
 
 
 def _move_item(row) -> MoveSelectionItem:
@@ -453,7 +453,7 @@ def _move_item(row) -> MoveSelectionItem:
 
 def load_fens(path) -> list:
     """The FENs of a file with one per line, blank lines skipped. A line that
-    is not UTF-8 or not a FEN raises ValueError naming the file and the line."""
+    is not UTF-8 or not a FEN raises UserError naming the file and the line."""
     path = Path(path)
     fens = []
     with open(path, "rb") as fh:
@@ -464,7 +464,7 @@ def load_fens(path) -> list:
             try:
                 parse_fen(fen)
             except (ValueError, ChessError) as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from None
+                raise UserError(f"{path}:{number}: {exc}") from None
             fens.append(fen)
     return fens
 
@@ -474,7 +474,7 @@ def load_move_items(path) -> list:
 
     A line that is not UTF-8 or not JSON, a missing or mistyped field, a
     history that does not replay or does not reach the item's FEN, a bad
-    FEN, or a table that does not cover the legal moves raises ValueError
+    FEN, or a table that does not cover the legal moves raises UserError
     naming the file and the line.
     """
     path = Path(path)
@@ -486,9 +486,9 @@ def load_move_items(path) -> list:
             try:
                 items.append(_move_item(json.loads(line)))
             except KeyError as exc:
-                raise ValueError(f"{path}:{number}: missing field {exc}") from None
+                raise UserError(f"{path}:{number}: missing field {exc}") from None
             except (ValueError, TypeError, ChessError) as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from None
+                raise UserError(f"{path}:{number}: {exc}") from None
     return items
 
 
@@ -527,7 +527,7 @@ def load_lichess_puzzles(
     Rows whose solutions do not replay as legal moves are skipped (counted in
     the log); the schema must carry the standard column set. A file that is
     not UTF-8 or not CSV, lacks a column, or has a short row or a rating that
-    is not an integer raises ValueError naming the file and the line.
+    is not an integer raises UserError naming the file and the line.
     """
     path = Path(csv_path)
     with open(path, "rb") as fh:
@@ -535,26 +535,26 @@ def load_lichess_puzzles(
         try:
             puzzles = _read_puzzle_rows(reader, path, min_rating, max_rating, themes, limit)
         except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            raise UserError(f"{path}:{reader.line_num}: {exc}") from None
     return puzzles
 
 
 def _read_puzzle_rows(reader, path, min_rating, max_rating, themes, limit) -> list:
     if reader.fieldnames is None:
-        raise ValueError(f"{path}: empty puzzle file")
+        raise UserError(f"{path}: empty puzzle file")
     missing = [c for c in _PUZZLE_COLUMNS if c not in reader.fieldnames]
     if missing:
-        raise ValueError(f"{path}:1: missing columns {missing}")
+        raise UserError(f"{path}:1: missing columns {missing}")
     puzzles = []
     skipped = 0
     for row in reader:
         where = f"{path}:{reader.line_num}"
         if any(row[c] is None for c in _PUZZLE_COLUMNS):
-            raise ValueError(f"{where}: row has fewer than {len(reader.fieldnames)} fields")
+            raise UserError(f"{where}: row has fewer than {len(reader.fieldnames)} fields")
         try:
             rating = int(row["Rating"])
         except ValueError:
-            raise ValueError(f"{where}: Rating {row['Rating']!r} is not an integer") from None
+            raise UserError(f"{where}: Rating {row['Rating']!r} is not an integer") from None
         if min_rating is not None and rating < min_rating:
             continue
         if max_rating is not None and rating > max_rating:
@@ -599,8 +599,7 @@ def run_puzzle(
         expected = puzzle.moves[idx]
         if idx % 2 == 1:  # solver to move
             attempt = predict_move(
-                spec, board, [], transport=transport, handle=handle, rng=rng,
-                template_mode=BLITZ,
+                replace(spec, play_mode=BLITZ), board, [], transport=transport, handle=handle, rng=rng,
             )
             predicted = attempt.move.uci if attempt.move else None
             predictions.append(predicted)

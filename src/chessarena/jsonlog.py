@@ -6,7 +6,7 @@ append-only log (a tournament's `rounds.jsonl`, the analysis cache).
 A row counts once its newline is written. An append cut short leaves a last
 row without one: reading drops that torn row and cuts it off the file, so the
 next append starts a line of its own. Any other row that does not decode
-raises LogFileError naming `file:line`.
+raises UserError naming `file:line`.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import json
 import os
 from pathlib import Path
 
-
-class LogFileError(ValueError):
-    """A log row, other than a torn last one, that does not decode."""
-
-    def __init__(self, path, number: int, exc: Exception):
-        super().__init__(f"{path}:{number}: {type(exc).__name__}: {exc}")
+from . import UserError
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -78,5 +73,5 @@ def read_rows(path):
                 if not isinstance(row, dict):
                     raise ValueError("not a JSON object")
             except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
-                raise LogFileError(path, number, exc) from None
+                raise UserError.at(path, number, exc) from None
             yield text, row

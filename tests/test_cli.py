@@ -99,6 +99,29 @@ def test_game_subcommand(tmp_path, capsys):
     assert len(games) == 1
 
 
+def test_game_annotate_keeps_its_game_when_the_oracle_dies(tmp_path, capsys):
+    oracle = tmp_path / "exits_on_go.py"
+    oracle.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    t = line.strip()\n"
+        "    if t == 'uci':\n"
+        "        print('id name ExitsOnGo'); print('uciok', flush=True)\n"
+        "    elif t == 'isready':\n"
+        "        print('readyok', flush=True)\n"
+        "    elif t.startswith('go'):\n"
+        "        sys.exit(0)\n"
+    )
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir,
+                          extra={"ply_cap": 8, "engine": {"path": f"{sys.executable} {oracle}"}})
+    assert main(["game", "--config", str(config), "--white", "rand-0", "--black", "rand-1", "--annotate"]) == 2
+    assert capsys.readouterr().err.startswith("infrastructure error: ")
+    (game_file,) = (run_dir / "games").glob("*.jsonl")
+    record = arena.RunDir(run_dir).read_game(game_file.stem)
+    assert record.plies and all(ply.q is None for ply in record.plies)
+
+
 def test_game_unknown_player_is_user_error(tmp_path, capsys):
     config = write_config(tmp_path, run_dir=tmp_path / "run")
     code = main(["game", "--config", str(config), "--white", "ghost", "--black", "rand-1"])
@@ -491,6 +514,61 @@ def test_eval_basic_bad_fen_file_is_a_user_error(tmp_path, capsys, content, expe
     err = _one_error_line(capsys, ["eval", "basic", "--fens", str(path), "--out", str(tmp_path / "out.jsonl")])
     assert f"{path}{expected}" in err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "player, expected",
+    [
+        ("ghost", "player 'ghost' is not in the config"),
+        ("rand-0", "basic understanding needs an llm_api player"),
+    ],
+    ids=["unknown", "random"],
+)
+def test_eval_basic_resolves_its_player_before_it_writes(tmp_path, capsys, player, expected):
+    out = tmp_path / "out.jsonl"
+    argv = ["eval", "basic", "--n", "5", "--config", str(write_config(tmp_path)), "--player", player,
+            "--out", str(out)]
+    assert _one_error_line(capsys, argv) == f"error: {expected}\n"
+    assert not out.exists()
+
+
+def _loader_input(tmp_path, loader) -> tuple:
+    """The argv of a command that reads an input file of the kind `loader`
+    reads, and that file."""
+    if loader == "fens":
+        path = tmp_path / "in.fens"
+        path.write_text(playout(1, 10).fen + "\n")
+        return ["eval", "basic", "--fens", str(path), "--out", str(tmp_path / "out.jsonl")], path
+    if loader == "move-items":
+        path = tmp_path / "in.jsonl"
+        path.write_text(_item_row() + "\n")
+        return ["eval", "moves", "--items", str(path), "--player", "random"], path
+    if loader == "puzzle-csv":
+        path = tmp_path / "in.csv"
+        path.write_bytes(PUZZLES_CSV.read_bytes())
+        return ["eval", "puzzles", "--csv", str(path), "--player", "random"], path
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir=run_dir, n_random=2,
+                          extra={"ply_cap": 8, "engine": {"path": TOY_CMD, "depth": 1}})
+    argv = ["match", "--config", str(config), "--white", "rand-0", "--black", "rand-1"]
+    if loader == "config":
+        return argv, config
+    if loader == "analysis-log":
+        argv.append("--annotate")
+    assert main(argv) == 0
+    if loader == "game":
+        return argv, sorted((run_dir / "games").glob("*.jsonl"))[0]
+    if loader == "analysis-log":
+        return argv, run_dir / "analysis" / "analyses.jsonl"
+    return ["leaderboard", "--run-dir", str(run_dir)], run_dir / "pool.json"
+
+
+@pytest.mark.parametrize("loader", ["fens", "move-items", "puzzle-csv", "config", "game", "analysis-log", "pool"])
+def test_an_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, loader):
+    argv, path = _loader_input(tmp_path, loader)
+    path.write_bytes(b"\xff" + path.read_bytes())  # its first line is not UTF-8
+    capsys.readouterr()
+    _one_error_line(capsys, argv)
 
 
 @pytest.mark.parametrize(

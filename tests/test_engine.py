@@ -26,7 +26,7 @@ from chessarena.engine import (
 )
 from chessarena.players import ChatResponse, PlayerSpec
 
-from chessarena.jsonlog import LogFileError
+from chessarena import UserError
 
 from conftest import TOY_ENGINE_CMD, listing_engine, playout
 
@@ -292,7 +292,7 @@ def test_a_bad_middle_cache_row_names_file_and_line(tmp_path, toy_handle, row, e
     log = tmp_path / "analyses.jsonl"
     first, second = log.read_bytes().splitlines(keepends=True)
     log.write_bytes(first + row + b"\n" + second)
-    with pytest.raises(LogFileError, match=f"^{log}:2: .*{error}"):
+    with pytest.raises(UserError, match=f"^{log}:2: .*{error}"):
         AnalysisCache(tmp_path)
 
 
@@ -301,7 +301,7 @@ def test_a_bad_table_in_a_cache_row_names_file_and_line(tmp_path, toy_handle):
     AnalysisCache(tmp_path).put("toy", table)
     log = tmp_path / "analyses.jsonl"
     log.write_text(log.read_text().replace('"kind": "cp"', '"kind": "pawns"', 1))
-    with pytest.raises(LogFileError, match=f"^{log}:1: ValueError: bad score kind"):
+    with pytest.raises(UserError, match=f"^{log}:1: ValueError: bad score kind"):
         AnalysisCache(tmp_path).get("toy", table.fen, 1)
 
 

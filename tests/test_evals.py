@@ -377,6 +377,17 @@ def test_move_selection_blindfold_uses_conversation():
     assert any(m.role == "assistant" for m in sent)
 
 
+@pytest.mark.parametrize("spec_flag", [True, False])
+def test_move_selection_shows_legal_moves_by_the_items_flag(spec_flag):
+    table = synthetic_table(START, random.Random(5))
+    items = [MoveSelectionItem(START, (), "blitz", flag, table) for flag in (False, True)]
+    spec = PlayerSpec(id="llm", kind="llm_api", play_mode="blitz", provide_legal_moves=spec_flag)
+    transport = ScriptedTransport(["```e2e4```"] * 2)
+    assert run_move_selection(spec, items, transport=transport)["lr"] == 100.0
+    shown = ["Legal moves in UCI notation" in sent[-1].content for sent in transport.calls]
+    assert shown == [False, True]
+
+
 def test_move_items_round_trip(tmp_path):
     rng = random.Random(11)
     items = [

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chessarena.arena as arena
+from chessarena import UserError
 from chessarena.arena import (
     GameConfig,
-    GameFileError,
     GameRecord,
     MatchRequest,
     Player,
@@ -154,7 +154,7 @@ def test_damaged_game_file_is_unfinished_a_record_or_a_declared_error(records, f
     path.write_bytes(damaged)
     try:
         loaded = fuzz_dir.read_game(record.game_id)
-    except GameFileError as exc:
+    except UserError as exc:
         assert kind != "cut"  # a torn file is unfinished, never an error
         assert str(exc).startswith(f"{path}:")
         return
@@ -165,10 +165,10 @@ def test_damaged_game_file_is_unfinished_a_record_or_a_declared_error(records, f
 
 def _read(read, game_id):
     """What `read` makes of the game file: a record, None, or the message of
-    its GameFileError."""
+    its UserError."""
     try:
         return read(game_id)
-    except GameFileError as exc:
+    except UserError as exc:
         return str(exc)
 
 
@@ -221,7 +221,7 @@ def test_a_bad_row_of_a_finished_file_names_its_line(records, tmp_path, number, 
     rows = [line.encode() for line in lines]
     rows[number - 1] = damage(lines[number - 1])
     path.write_bytes(b"\n".join(rows) + b"\n")
-    with pytest.raises(GameFileError, match=f"^{re.escape(f'{path}:{number}: {expected}')}"):
+    with pytest.raises(UserError, match=f"^{re.escape(f'{path}:{number}: {expected}')}"):
         run_dir.has_game(records[1].game_id)
 
 

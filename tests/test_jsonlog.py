@@ -3,7 +3,8 @@ import json
 import pytest
 
 from chessarena.arena import RunDir
-from chessarena.jsonlog import LogFileError, append_row, read_rows, write_rows
+from chessarena import UserError
+from chessarena.jsonlog import append_row, read_rows, write_rows
 
 ROWS = [{"round": 1, "games": ["a", "b"]}, {"round": 2, "note": "café"}, {"round": 3}]
 
@@ -54,11 +55,11 @@ def test_a_bad_row_before_the_last_names_file_and_line(tmp_path, bad, error):
         append_row(log, row)
     lines = log.read_bytes().splitlines(keepends=True)
     log.write_bytes(lines[0] + bad + b"\n" + lines[2])
-    with pytest.raises(LogFileError, match=f"^{log}:2: .*{error}"):
+    with pytest.raises(UserError, match=f"^{log}:2: .*{error}"):
         list(read_rows(log))
     # A newline-ended row is never taken for a torn one, even when it is the last.
     log.write_bytes(lines[0] + bad + b"\n")
-    with pytest.raises(LogFileError, match=f"^{log}:2: "):
+    with pytest.raises(UserError, match=f"^{log}:2: "):
         list(read_rows(log))
 
 
