@@ -93,6 +93,8 @@ def load_config(path) -> RunConfig:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise UserError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise UserError(f"config is not a regular file: {path}") from None
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for a file that is not UTF-8
         raise UserError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -249,6 +251,8 @@ def _require_file(path, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise UserError(f"{what} not found: {p}")
+    if not p.is_file():
+        raise UserError(f"{what} is not a regular file: {p}")
     return p
 
 

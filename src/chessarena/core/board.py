@@ -1,8 +1,11 @@
-"""Board representation and FEN parsing/serialization.
+"""Board representation, square geometry and FEN parsing/serialization.
 
 Positions are immutable values: every mutation-style operation returns a new
 ``BoardState``. Internally the placement is a flat 64-tuple of signed piece
 codes (white positive, black negative), indexed a1=0 .. h8=63, rank-major.
+Parsing refuses a FEN with a king missing or doubled, a pawn on a back rank,
+a misplaced en-passant square, or a side not to move in check. A state
+builds its FEN text once.
 """
 
 from __future__ import annotations
@@ -57,6 +60,84 @@ RANK_NAMES = "12345678"
 SQUARE_NAMES = tuple(f + r for r in RANK_NAMES for f in FILE_NAMES)
 
 START_FEN = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
+
+
+# Square geometry and the attack test: move generation reads them, and so
+# does FEN validation, which refuses a side not to move that stands in check.
+def _build_tables():
+    knight, king, rays = [], [], []
+    knight_deltas = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2))
+    king_deltas = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+    # First four directions orthogonal, last four diagonal (pin/attack logic
+    # relies on that split).
+    dirs = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (-1, 1), (1, -1))
+    for sq in range(64):
+        f, r = sq & 7, sq >> 3
+        knight.append(
+            tuple((r + dr) * 8 + f + df for df, dr in knight_deltas if 0 <= f + df <= 7 and 0 <= r + dr <= 7)
+        )
+        king.append(
+            tuple((r + dr) * 8 + f + df for df, dr in king_deltas if 0 <= f + df <= 7 and 0 <= r + dr <= 7)
+        )
+        per_dir = []
+        for df, dr in dirs:
+            ray = []
+            nf, nr = f + df, r + dr
+            while 0 <= nf <= 7 and 0 <= nr <= 7:
+                ray.append(nr * 8 + nf)
+                nf += df
+                nr += dr
+            per_dir.append(tuple(ray))
+        rays.append(tuple(per_dir))
+    pawn_att_w, pawn_att_b = [], []  # squares holding a pawn that attacks sq
+    for sq in range(64):
+        f, r = sq & 7, sq >> 3
+        pawn_att_w.append(
+            tuple((r - 1) * 8 + f + df for df in (-1, 1) if 0 <= f + df <= 7 and r - 1 >= 0)
+        )
+        pawn_att_b.append(
+            tuple((r + 1) * 8 + f + df for df in (-1, 1) if 0 <= f + df <= 7 and r + 1 <= 7)
+        )
+    return tuple(knight), tuple(king), tuple(rays), tuple(pawn_att_w), tuple(pawn_att_b)
+
+
+KNIGHT_TABLE, KING_TABLE, RAYS, PAWN_ATTACKERS_W, PAWN_ATTACKERS_B = _build_tables()
+
+
+def _attacked(board, sq: int, by: int, ignore: int = -1) -> bool:
+    """Is sq attacked by side `by`? `ignore` is treated as empty (king lifts)."""
+    pawn_from = PAWN_ATTACKERS_W[sq] if by > 0 else PAWN_ATTACKERS_B[sq]
+    pawn = PAWN * by
+    for p in pawn_from:
+        if board[p] == pawn:
+            return True
+    knight = KNIGHT * by
+    for p in KNIGHT_TABLE[sq]:
+        if board[p] == knight:
+            return True
+    king = KING * by
+    for p in KING_TABLE[sq]:
+        if board[p] == king:
+            return True
+    rook, bishop, queen = ROOK * by, BISHOP * by, QUEEN * by
+    rays = RAYS[sq]
+    for d in range(4):
+        for p in rays[d]:
+            code = board[p]
+            if code == 0 or p == ignore:
+                continue
+            if code == rook or code == queen:
+                return True
+            break
+    for d in range(4, 8):
+        for p in rays[d]:
+            code = board[p]
+            if code == 0 or p == ignore:
+                continue
+            if code == bishop or code == queen:
+                return True
+            break
+    return False
 
 
 class ChessError(Exception):
@@ -178,7 +259,11 @@ class BoardState:
 
     @property
     def fen(self) -> str:
-        return serialize_fen(self)
+        """Built once per state and kept in its __dict__, like its legal moves."""
+        fen = self.__dict__.get("_fen")
+        if fen is None:
+            fen = self.__dict__["_fen"] = serialize_fen(self)
+        return fen
 
     def __repr__(self) -> str:
         return f"BoardState({self.fen!r})"
@@ -208,22 +293,21 @@ def parse_fen(text: str) -> BoardState:
         raise FenError(f"expected 8 ranks, got {len(ranks)}")
     board = [0] * 64
     for rank_idx, row in enumerate(ranks):
-        rank = 7 - rank_idx  # FEN lists rank 8 first
+        first = (7 - rank_idx) * 8  # FEN lists rank 8 first
         file = 0
         for ch in row:
-            if ch.isdigit():
-                if ch == "0" or ch == "9":
-                    raise FenError(f"bad skip count {ch!r} in rank {8 - rank_idx}")
-                file += int(ch)
-            else:
-                if file > 7:
-                    raise FenError(f"rank {8 - rank_idx} has more than 8 squares")
-                try:
-                    piece = Piece.from_symbol(ch)
-                except ValueError:
-                    raise FenError(f"invalid piece symbol {ch!r}") from None
-                board[rank * 8 + file] = piece.code
+            code = _SYMBOL_CODE.get(ch)
+            if code is not None and file < 8:
+                board[first + file] = code
                 file += 1
+            elif ch in "12345678":
+                file += int(ch)
+            elif ch.isdigit():
+                raise FenError(f"bad skip count {ch!r} in rank {8 - rank_idx}")
+            elif file > 7:
+                raise FenError(f"rank {8 - rank_idx} has more than 8 squares")
+            else:
+                raise FenError(f"invalid piece symbol {ch!r}")
         if file != 8:
             raise FenError(f"rank {8 - rank_idx} has {file} squares, expected 8")
 
@@ -281,10 +365,13 @@ def _validate(state: BoardState) -> None:
             raise FenError("en-passant square must be on rank 6 with white to move")
         if state.turn < 0 and rank != 2:
             raise FenError("en-passant square must be on rank 3 with black to move")
+    if _attacked(board, board.index(-KING * state.turn), state.turn):
+        raise FenError("the side not to move is in check")
 
 
 # FEN letter of each piece code; an empty square is "1" until runs collapse.
 _FEN_SYMBOL = {code: Piece.from_code(code).symbol if code else "1" for code in range(-KING, KING + 1)}
+_SYMBOL_CODE = {symbol: code for code, symbol in _FEN_SYMBOL.items() if code}
 _EMPTY_RUNS = tuple(("1" * n, str(n)) for n in range(8, 1, -1))  # longest first
 
 

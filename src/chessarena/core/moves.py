@@ -30,6 +30,12 @@ from .board import (
     CASTLING_ROOK,
     CASTLINGS,
     BoardState,
+    KING_TABLE,
+    KNIGHT_TABLE,
+    PAWN_ATTACKERS_B,
+    PAWN_ATTACKERS_W,
+    RAYS,
+    _attacked,
     _square_index,
 )
 
@@ -77,83 +83,19 @@ _SAN_RE = re.compile(
 )
 _CASTLE_RE = re.compile(r"^(O-O-O|O-O|0-0-0|0-0)([+#])?$")
 
-
-def _build_tables():
-    knight, king, rays = [], [], []
-    knight_deltas = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2))
-    king_deltas = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-    # First four directions orthogonal, last four diagonal (pin/attack logic
-    # relies on that split).
-    dirs = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (-1, 1), (1, -1))
-    for sq in range(64):
-        f, r = sq & 7, sq >> 3
-        knight.append(
-            tuple((r + dr) * 8 + f + df for df, dr in knight_deltas if 0 <= f + df <= 7 and 0 <= r + dr <= 7)
-        )
-        king.append(
-            tuple((r + dr) * 8 + f + df for df, dr in king_deltas if 0 <= f + df <= 7 and 0 <= r + dr <= 7)
-        )
-        per_dir = []
-        for df, dr in dirs:
-            ray = []
-            nf, nr = f + df, r + dr
-            while 0 <= nf <= 7 and 0 <= nr <= 7:
-                ray.append(nr * 8 + nf)
-                nf += df
-                nr += dr
-            per_dir.append(tuple(ray))
-        rays.append(tuple(per_dir))
-    pawn_att_w, pawn_att_b = [], []  # squares holding a pawn that attacks sq
-    for sq in range(64):
-        f, r = sq & 7, sq >> 3
-        pawn_att_w.append(
-            tuple((r - 1) * 8 + f + df for df in (-1, 1) if 0 <= f + df <= 7 and r - 1 >= 0)
-        )
-        pawn_att_b.append(
-            tuple((r + 1) * 8 + f + df for df in (-1, 1) if 0 <= f + df <= 7 and r + 1 <= 7)
-        )
-    return tuple(knight), tuple(king), tuple(rays), tuple(pawn_att_w), tuple(pawn_att_b)
-
-
-KNIGHT_TABLE, KING_TABLE, RAYS, PAWN_ATTACKERS_W, PAWN_ATTACKERS_B = _build_tables()
-
 _PROMO_KINDS = ("q", "r", "b", "n")
 
+# UCI text sorts by square name, file first (a1 < a2 < ... < b1), then no
+# promotion before "b" < "n" < "q" < "r"; these integers sort the same way.
+_SQUARE_ORDER = tuple((sq & 7) * 8 + (sq >> 3) for sq in range(64))
+_FROM_TO_ORDER = tuple(_SQUARE_ORDER[frm] << 9 | _SQUARE_ORDER[to] << 3 for frm in range(64) for to in range(64))
+_PROMO_ORDER = {None: 0, "b": 1, "n": 2, "q": 3, "r": 4}
 
-def _attacked(board, sq: int, by: int, ignore: int = -1) -> bool:
-    """Is sq attacked by side `by`? `ignore` is treated as empty (king lifts)."""
-    pawn_from = PAWN_ATTACKERS_W[sq] if by > 0 else PAWN_ATTACKERS_B[sq]
-    pawn = PAWN * by
-    for p in pawn_from:
-        if board[p] == pawn:
-            return True
-    knight = KNIGHT * by
-    for p in KNIGHT_TABLE[sq]:
-        if board[p] == knight:
-            return True
-    king = KING * by
-    for p in KING_TABLE[sq]:
-        if board[p] == king:
-            return True
-    rook, bishop, queen = ROOK * by, BISHOP * by, QUEEN * by
-    rays = RAYS[sq]
-    for d in range(4):
-        for p in rays[d]:
-            code = board[p]
-            if code == 0 or p == ignore:
-                continue
-            if code == rook or code == queen:
-                return True
-            break
-    for d in range(4, 8):
-        for p in rays[d]:
-            code = board[p]
-            if code == 0 or p == ignore:
-                continue
-            if code == bishop or code == queen:
-                return True
-            break
-    return False
+
+def _uci_order(move) -> int:
+    """Sort key of a (from, to, promotion) triple that orders moves as their
+    UCI text does, without building the text."""
+    return _FROM_TO_ORDER[move[0] << 6 | move[1]] | _PROMO_ORDER[move[2]]
 
 
 def is_check(state: BoardState) -> bool:
@@ -357,7 +299,7 @@ def legal_moves(state: BoardState) -> list:
     moves = state.__dict__.get("_legal_moves")
     if moves is None:
         moves = [MoveToken._make(raw) for raw in _raw_legal_moves(state)]
-        moves.sort(key=lambda mv: mv.uci)
+        moves.sort(key=_uci_order)
         moves = state.__dict__.setdefault("_legal_moves", moves)
     return moves
 

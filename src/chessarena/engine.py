@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import UserError
-from .core import BoardState, ChessError, MoveToken, legal_moves, parse_fen
+from .core import BoardState, ChessError, MoveParseError, MoveToken, legal_moves, parse_fen
 from .jsonlog import append_row, read_rows
 
 DEFAULT_HANDSHAKE_TIMEOUT = 10.0
@@ -418,8 +418,8 @@ def best_move(
 ) -> MoveToken:
     """Ask the engine for its move in `board` under depth/nodes/movetime limits."""
     fen = board.fen
-    by_uci = {mv.uci: mv for mv in legal_moves(board)}
-    if not by_uci:
+    legal = legal_moves(board)  # the game's own list, already generated
+    if not legal:
         raise EngineError(f"position is terminal: {fen}")
     limits = limits or {"depth": 1}
     parts = ["go"]
@@ -437,9 +437,13 @@ def best_move(
     if len(fields) < 2 or fields[1] == "(none)":
         raise EngineError(f"engine returned no move for {fen}")
     uci = fields[1]
-    if uci not in by_uci:
+    try:
+        move = MoveToken.from_uci(uci)
+    except MoveParseError:
+        move = None
+    if move not in legal:
         raise EngineProtocolError(f"engine bestmove {uci} is illegal in {fen}")
-    return by_uci[uci]
+    return move
 
 
 class AnalysisCache:

@@ -6,13 +6,18 @@ engine binary. It plays weak chess but finds forced mates in one, and mates
 in two whose key move gives check, which is all the bundled puzzle corpus
 requires. Output is fully deterministic for a given position and depth.
 
-The search does only the work its answers need: "is the side to move stuck?"
-stops at the first legal reply, check is tested before any reply is
-generated, full reply lists are built only for the mate-in-two scan, whose
-mate-in-one probe plays only moves that could give check, and material is
-the position's balance plus what each move captures or promotes. At MultiPV 1
-it looks for the best move alone and scores the others only as far as that
-decides it. Each answer leaves in one write.
+The search does only the work its answers need. It works on raw
+(from, to, promotion) triples, sorted once per position by an integer key
+that orders them as their UCI text does, and builds UCI text only for the
+lines it writes. "Is the side to move stuck?" stops at the first legal
+reply, check is tested before any reply is generated, and full reply lists
+are built only for the mate-in-two scan. Only moves that pass a per-position
+check filter are played to look for a check: moves that uncover a slider
+on the enemy king, or land where their piece attacks it along an empty
+path, plus en passant, castling and promotions. Material is the position's
+balance plus what each move captures or promotes. At MultiPV 1 it looks for
+the best move alone and scores the others only as far as that decides it.
+Each answer leaves in one write.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .core import (
     parse_fen,
     START_FEN,
 )
-from .core.board import BISHOP, CASTLING_ROOK, KING, KIND_TO_CODE, KNIGHT, PAWN, QUEEN, ROOK
+from .core.board import BISHOP, CASTLINGS, KING, KIND_TO_CODE, KNIGHT, PAWN, QUEEN, ROOK
 from .core.moves import (
     KNIGHT_TABLE,
     PAWN_ATTACKERS_B,
@@ -36,21 +41,12 @@ from .core.moves import (
     _iter_legal_moves,
     _raw_apply,
     _raw_legal_moves,
+    _uci_order,
 )
 
 PIECE_VALUES = {1: 100, 2: 300, 3: 310, 4: 500, 5: 900, 6: 0}
 
 MATE_SCAN_MIN_DEPTH = 3  # "go depth" threshold that enables the mate-in-2 scan
-
-# Per square: the squares from which a piece of each kind could attack it on
-# an empty board, and every square on a line through it.
-_LINES = tuple(frozenset(sq for ray in rays for sq in ray) for rays in RAYS)
-_REACH = {
-    KNIGHT: tuple(frozenset(table) for table in KNIGHT_TABLE),
-    BISHOP: tuple(frozenset(sq for ray in rays[4:] for sq in ray) for rays in RAYS),
-    ROOK: tuple(frozenset(sq for ray in rays[:4] for sq in ray) for rays in RAYS),
-    QUEEN: _LINES,
-}
 
 
 def material_balance(state: BoardState, pov: int) -> int:
@@ -84,25 +80,55 @@ def _is_mate(state: BoardState) -> bool:
     return is_check(state) and _stuck(state)
 
 
-def _may_give_check(state: BoardState, king_sq: int, frm: int, to: int, promo: str | None) -> bool:
-    """False only when the move cannot check the enemy king on `king_sq`: the
-    piece lands nowhere it could attack the king from, even on an empty board,
-    and leaves no line to the king that a discovered check could open."""
-    if frm in _LINES[king_sq]:
-        return True
-    kind = KIND_TO_CODE[promo] if promo else abs(state.board[frm])
-    if kind == PAWN:
-        attackers = PAWN_ATTACKERS_W if state.turn > 0 else PAWN_ATTACKERS_B
-        return to == state.ep or to in attackers[king_sq]  # en passant clears a second square
-    if kind == KING:
-        return (frm, to) in CASTLING_ROOK  # castling: the rook may give check
-    return to in _REACH[kind][king_sq]
+def _ordered_moves(state: BoardState) -> list:
+    """The legal moves as raw triples in the order of their UCI text, which
+    breaks every tie in the search's answer."""
+    return sorted(_iter_legal_moves(state), key=_uci_order)
+
+
+def _uci(move) -> str:
+    return MoveToken._make(move).uci
+
+
+def _check_candidates(state: BoardState, moves):
+    """Yield, in their order, the moves among `moves` that may check the
+    enemy king; every move that does is among them. A move may check when it
+    leaves a square that alone stands between the king and one of the
+    mover's sliders, or lands where its piece attacks the king: a knight or
+    pawn square, or a slider square whose path to the king is empty. That
+    path never runs through the square the piece leaves, or the piece would
+    check already, which no legal position allows. En passant, castling and
+    promotions also clear or fill a second square, so each of them is kept."""
+    board = state.board
+    us = state.turn
+    king_sq = board.index(-KING * us)
+    queen = QUEEN * us
+    diagonal, straight = set(), set()  # squares a bishop, a rook would check from
+    discoverers = set()
+    for d, ray in enumerate(RAYS[king_sq]):
+        slider, reach = (BISHOP * us, diagonal) if d >= 4 else (ROOK * us, straight)
+        pieces = [sq for sq in ray if board[sq]]  # nearest the king first
+        reach.update(ray[: ray.index(pieces[0]) + 1] if pieces else ray)
+        if len(pieces) > 1 and board[pieces[0]] * us > 0 and board[pieces[1]] in (slider, queen):
+            discoverers.add(pieces[0])
+    pawn_squares = (PAWN_ATTACKERS_W if us > 0 else PAWN_ATTACKERS_B)[king_sq]
+    targets = {
+        PAWN * us: pawn_squares if state.ep is None else (*pawn_squares, state.ep),
+        KNIGHT * us: KNIGHT_TABLE[king_sq],
+        BISHOP * us: diagonal,
+        ROOK * us: straight,
+        queen: diagonal | straight,
+        KING * us: tuple(c.king_to for c in CASTLINGS if board[c.king_from] == KING * us),
+    }
+    for move in moves:
+        frm, to, promo = move
+        if frm in discoverers or promo or to in targets[board[frm]]:
+            yield move
 
 
 def _has_mate_in_one(state: BoardState) -> bool:
-    king_sq = state.board.index(-KING * state.turn)
-    for raw in _iter_legal_moves(state):
-        if _may_give_check(state, king_sq, *raw) and _is_mate(_raw_apply(state, *raw)):
+    for raw in _check_candidates(state, _iter_legal_moves(state)):
+        if _is_mate(_raw_apply(state, *raw)):
             return True
     return False
 
@@ -116,26 +142,28 @@ def _forces_mate_in_two(after_key: BoardState, replies) -> bool:
     return True
 
 
-def score_moves(state: BoardState, depth: int) -> list:
-    """(uci, kind, value) per legal move, from the mover's perspective."""
+def score_moves(state: BoardState, depth: int, moves=None) -> list:
+    """(uci, kind, value) per legal move, from the mover's perspective.
+    `moves` are the position's `_ordered_moves`, if the caller has them."""
     balance = material_balance(state, state.turn)
     scan = depth >= MATE_SCAN_MIN_DEPTH
     scored = []
-    for mv in legal_moves(state):
+    for mv in _ordered_moves(state) if moves is None else moves:
+        uci = _uci(mv)
         after = _raw_apply(state, *mv)
         check = is_check(after)
         if check and scan:
             replies = _raw_legal_moves(after)
             if replies and _forces_mate_in_two(after, replies):
-                scored.append((mv.uci, "mate", 2))
+                scored.append((uci, "mate", 2))
                 continue
             stuck = not replies
         else:
             stuck = _stuck(after)
         if stuck:  # mate, or stalemate
-            scored.append((mv.uci, "mate", 1) if check else (mv.uci, "cp", 0))
+            scored.append((uci, "mate", 1) if check else (uci, "cp", 0))
         else:
-            scored.append((mv.uci, "cp", balance + _material_gain(state, *mv)))
+            scored.append((uci, "cp", balance + _material_gain(state, *mv)))
     return scored
 
 
@@ -145,28 +173,27 @@ def _order_key(entry):
     return (-raw, uci)
 
 
-def best_scored(state: BoardState, depth: int):
+def best_scored(state: BoardState, depth: int, moves=None):
     """The first entry of `sorted(score_moves(state, depth), key=_order_key)`,
     or None when there is no legal move, scoring only what decides it: mates
     in one among the moves that may give check, then (at the scan depth)
     mates in two among the checks, then material, testing for stalemate
-    (which scores cp 0) only while it could change the answer."""
-    moves = legal_moves(state)  # UCI order: the tie-break
+    (which scores cp 0) only while it could change the answer. `moves` are
+    the position's `_ordered_moves`, if the caller has them."""
+    moves = _ordered_moves(state) if moves is None else moves
     if not moves:
         return None
-    king_sq = state.board.index(-KING * state.turn)
     checks = {}
-    for mv in moves:
-        if _may_give_check(state, king_sq, *mv):
-            after = _raw_apply(state, *mv)
-            if is_check(after):
-                if _stuck(after):
-                    return (mv.uci, "mate", 1)
-                checks[mv] = after
+    for mv in _check_candidates(state, moves):
+        after = _raw_apply(state, *mv)
+        if is_check(after):
+            if _stuck(after):
+                return (_uci(mv), "mate", 1)
+            checks[mv] = after
     if depth >= MATE_SCAN_MIN_DEPTH:
         for mv, after in checks.items():
             if _forces_mate_in_two(after, _raw_legal_moves(after)):
-                return (mv.uci, "mate", 2)
+                return (_uci(mv), "mate", 2)
 
     def stalemates(i: int) -> bool:  # a check left here is no mate, so it leaves a reply
         return moves[i] not in checks and _stuck(_raw_apply(state, *moves[i]))
@@ -178,7 +205,7 @@ def best_scored(state: BoardState, depth: int):
         if values[i] <= 0:
             break
         if not stalemates(i):
-            return (moves[i].uci, "cp", values[i])  # beats every cp 0 and all below it
+            return (_uci(moves[i]), "cp", values[i])  # beats every cp 0 and all below it
         zero = i if zero is None else min(zero, i)
     # No positive score stands (each stalemated, so none lies before `zero`):
     # cp 0 wins if any move scores it, by even material or by stalemate; else
@@ -188,9 +215,9 @@ def best_scored(state: BoardState, depth: int):
             zero = i
             break
     if zero is not None:
-        return (moves[zero].uci, "cp", 0)
+        return (_uci(moves[zero]), "cp", 0)
     i = max(range(len(moves)), key=values.__getitem__)  # the first of the best
-    return (moves[i].uci, "cp", values[i])
+    return (_uci(moves[i]), "cp", values[i])
 
 
 def run(stdin=None, stdout=None) -> None:
@@ -232,15 +259,16 @@ def run(stdin=None, stdout=None) -> None:
             state = _set_position(rest)
         elif cmd == "go":
             depth = _go_depth(rest)
+            moves = _ordered_moves(state)
             if multipv == 1:
-                best = best_scored(state, depth)
+                best = best_scored(state, depth, moves)
                 scored = [best] if best else []
             else:
-                scored = sorted(score_moves(state, depth), key=_order_key)[:multipv]
+                scored = sorted(score_moves(state, depth, moves), key=_order_key)[:multipv]
             if not scored:
                 emit("bestmove (none)")
                 continue
-            nodes = len(legal_moves(state))
+            nodes = len(moves)
             emit(
                 *(
                     f"info depth {depth} seldepth {depth} multipv {idx} "

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,3 +98,54 @@ def test_piece_symbol_bijection():
 def test_round_trip_on_reachable_positions(seed, plies):
     board = playout(seed, plies)
     assert parse_fen(serialize_fen(board)) == board
+
+
+BARE = "4k3/8/8/8/8/8/8/4K3"  # kings alone; each case below breaks one field
+
+
+@pytest.mark.parametrize(
+    "fen, message",
+    [
+        (f"{BARE} w - - 0", "expected 6 space-delimited fields, got 5"),
+        ("4k3/8/8/8/8/8/4K3 w - - 0 1", "expected 8 ranks, got 7"),
+        ("4k3/8/8/8/8/8/8/4K2X w - - 0 1", "invalid piece symbol 'X'"),
+        ("4k3/8/8/8/8/8/8/4K0 w - - 0 1", "bad skip count '0' in rank 1"),
+        ("4k3/9/8/8/8/8/8/4K3 w - - 0 1", "bad skip count '9' in rank 7"),
+        ("4k3/8/8/8/8/8/8/4K3N w - - 0 1", "rank 1 has more than 8 squares"),
+        ("4k3/8/8/8/8/8/8/4K3X w - - 0 1", "rank 1 has more than 8 squares"),
+        ("4k3/8/8/8/8/8/8/4K2 w - - 0 1", "rank 1 has 7 squares, expected 8"),
+        ("4k3/8/8/8/8/8/8/4K4 w - - 0 1", "rank 1 has 9 squares, expected 8"),
+        (f"{BARE} x - - 0 1", "invalid active-color field 'x'"),
+        (f"{BARE} w Kx - 0 1", "invalid castling token 'x'"),
+        (f"{BARE} w KK - 0 1", "duplicate castling token 'K'"),
+        (f"{BARE} w - e9 0 1", "invalid en-passant field 'e9'"),
+        (f"{BARE} w - - a 1", "clock fields must be integers"),
+        (f"{BARE} w - - -1 1", "negative halfmove clock -1"),
+        (f"{BARE} w - - 0 0", "fullmove number must be positive, got 0"),
+        ("4k3/8/8/8/8/8/8/4KK2 w - - 0 1", "position must contain exactly one king per color"),
+        ("4k3/8/8/8/8/8/8/4K2P w - - 0 1", "pawns may not stand on rank 1 or rank 8"),
+        (f"{BARE} w - e3 0 1", "en-passant square must be on rank 6 with white to move"),
+        (f"{BARE} b - e6 0 1", "en-passant square must be on rank 3 with black to move"),
+        ("4k3/8/8/8/8/8/4r3/4K3 b - - 0 1", "the side not to move is in check"),
+        ("4k3/8/3N4/8/8/8/8/4K3 w - - 0 1", "the side not to move is in check"),
+    ],
+)
+def test_fen_error_messages_are_pinned(fen, message):
+    with pytest.raises(FenError) as info:
+        parse_fen(fen)
+    assert str(info.value) == message
+
+
+def test_fen_round_trips_over_playouts_and_its_memo_changes_no_value():
+    for seed in range(8):
+        for plies in (0, 1, 9, 40, 120):
+            board = playout(seed, plies)
+            fen = board.fen
+            assert board.fen is fen  # built once
+            assert parse_fen(fen) == board and parse_fen(fen).fen == fen
+            bare = dataclasses.replace(board)  # an equal state with nothing kept
+            digest = hash(bare)
+            assert bare == board and digest == hash(board)
+            assert repr(bare) == repr(board) == f"BoardState({fen!r})"
+            assert bare.fen == serialize_fen(board) == fen
+            assert hash(bare) == digest and bare == board

@@ -574,6 +574,33 @@ def test_an_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, loader):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["eval", "basic", "--fens", "DIR", "--n", "5"],
+        ["eval", "moves", "--items", "DIR", "--player", "random"],
+        ["eval", "puzzles", "--csv", "DIR", "--player", "random"],
+        ["game", "--config", "DIR", "--white", "rand-0", "--black", "rand-1"],
+    ],
+    ids=["fens", "move-items", "puzzle-csv", "config"],
+)
+def test_a_directory_given_as_an_input_file_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # whatever a command would write lands here
+    (tmp_path / "adir").mkdir()
+    err = _one_error_line(capsys, ["adir" if arg == "DIR" else arg for arg in argv])
+    assert err.endswith("is not a regular file: adir\n"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+
+
+def test_a_fen_whose_side_not_to_move_is_in_check_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "opposite.fens"
+    path.write_text("4k3/8/8/8/8/8/4r3/4K3 b - - 0 1\n")  # black to move may take the king on e1
+    out = tmp_path / "out.jsonl"
+    err = _one_error_line(capsys, ["eval", "basic", "--fens", str(path), "--n", "5", "--out", str(out)])
+    assert err == f"error: {path}:1: the side not to move is in check\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["tournament", "--rounds", "1"],
         ["match", "--white", "rand-0", "--black", "rand-1"],
         ["game", "--white", "rand-0", "--black", "rand-1"],

@@ -146,7 +146,7 @@ def test_san_extraction_uses_the_legal_list_it_is_handed(monkeypatch):
         (parse_fen("rnbqkbnr/ppp1pppp/8/3p4/4P3/8/PPPP1PPP/RNBQKBNR w KQkq - 0 2"), ["exd5"]),
         (parse_fen("8/4P1k1/8/8/8/8/6K1/8 w - - 0 1"), ["e8=Q", "e8=Q+", "e8"]),
         (parse_fen("r3k2r/pppppppp/8/8/8/8/PPPPPPPP/R3K2R w KQkq - 0 1"), ["O-O", "O-O-O", "0-0"]),
-        (parse_fen("k7/8/8/8/8/8/1K6/R6R w - - 0 1"), ["Rad1", "Rhd1", "Rd1", "R1d1"]),
+        (parse_fen("1k6/8/8/8/8/8/1K6/R6R w - - 0 1"), ["Rad1", "Rhd1", "Rd1", "R1d1"]),
     ]
     jobs = [(board, f"```{san}```", mode) for board, sans in cases for san in sans for mode in PLAY_MODES[:3]]
     expected = [extract_move(raw, mode, parse_fen(board.fen)) for board, raw, mode in jobs]

@@ -72,7 +72,7 @@ def test_parse_san_castling():
 
 
 def test_parse_san_disambiguation():
-    board = parse_fen("k7/8/8/8/8/8/1K6/R6R w - - 0 1")
+    board = parse_fen("1k6/8/8/8/8/8/1K6/R6R w - - 0 1")
     assert parse_move("Rad1", board).uci == "a1d1"
     assert parse_move("Rhd1", board).uci == "h1d1"
     with pytest.raises(AmbiguousSanError):

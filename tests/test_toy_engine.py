@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chessarena.core import BoardState, MoveToken, apply_move, legal_moves, parse_fen
-from chessarena.core.moves import _iter_legal_moves, _raw_apply, _raw_legal_moves
+from chessarena.core.moves import _iter_legal_moves, _raw_apply, _raw_legal_moves, _uci_order
 from chessarena.evals import load_lichess_puzzles
 from chessarena.core import is_check
-from chessarena.core.board import KING
 from chessarena.engine import EngineError, start_engine
 from chessarena.toy_engine import (
+    _check_candidates,
     _material_gain,
-    _may_give_check,
     _order_key,
     _set_position,
     _stuck,
@@ -146,19 +145,36 @@ CHECK_FENS = [
     "8/5k2/8/3pP3/8/1B6/8/K7 w - d6 0 1",  # en passant clears d5 for the bishop
     "8/1P1k4/8/8/8/8/8/K7 w - - 0 1",  # only promotion to a knight checks
     "4k3/8/8/8/4N3/8/8/4R1K1 w - - 0 1",  # every knight step uncovers the rook
+    "5r2/4P3/3k4/8/8/8/8/4K3 w - - 0 1",  # e7f8q checks through e7, the square the pawn leaves
+    "8/8/8/R2pP2k/8/8/8/K7 w - d6 0 1",  # en passant clears d5 and e5 for the rook
+    "r3k3/8/8/8/8/8/8/3K4 b q - 0 1",  # O-O-O: the rook checks from d8
+    "4k3/8/8/8/4K3/8/8/4R3 w - - 0 1",  # a king step off the e-file uncovers the rook
 ]
 
 def test_may_give_check_never_misses_a_check():
+    """The check filter admits every move that checks, and little else."""
     boards = _playout_positions() + [_after_setup(p, n) for p in PUZZLES for n in (1, 3)]
     boards += [parse_fen(fen) for fen in CHECK_FENS]
-    checks = 0
+    checks = admitted = 0
     for board in boards:
-        king_sq = board.board.index(-KING * board.turn)
-        for raw in _raw_legal_moves(board):
+        moves = _raw_legal_moves(board)
+        candidates = list(_check_candidates(board, moves))
+        assert candidates == [raw for raw in moves if raw in candidates]  # order kept
+        admitted += len(candidates)
+        for raw in moves:
             if is_check(_raw_apply(board, *raw)):
                 checks += 1
-                assert _may_give_check(board, king_sq, *raw), (board.fen, raw)
+                assert raw in candidates, (board.fen, raw)
     assert checks > 1000
+    assert admitted < 1.1 * checks, (admitted, checks)
+
+
+def test_uci_order_sorts_every_triple_as_its_uci_text():
+    triples = [(frm, to, promo) for frm in range(64) for to in range(64) for promo in (None, "q", "r", "b", "n")]
+    random.Random(0).shuffle(triples)
+    by_key = sorted(triples, key=_uci_order)
+    assert by_key == sorted(triples, key=lambda raw: MoveToken._make(raw).uci)
+    assert len({_uci_order(raw) for raw in triples}) == len(triples)
 
 
 # The side to move is behind in material and its best answer stalemates.
