@@ -327,6 +327,10 @@ def parse_fen(text: str) -> BoardState:
             if rights & bit:
                 raise FenError(f"duplicate castling token {ch!r}")
             rights |= bit
+    for c in CASTLINGS:  # a right whose king or rook is off its home square can never be used
+        sign = 1 if c.letter.isupper() else -1
+        if board[c.king_from] != sign * KING or board[c.rook_from] != sign * ROOK:
+            rights &= ~c.right
 
     ep = None
     if ep_field != "-":

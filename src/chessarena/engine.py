@@ -95,8 +95,7 @@ class AnalysisTable:
     evals: tuple
     top_moves: frozenset  # UCI strings, at most 3
 
-    def q_for(self, move) -> float | None:
-        uci = move.uci if isinstance(move, MoveToken) else str(move)
+    def q_for(self, uci: str) -> float | None:
         for ev in self.evals:
             if ev.move.uci == uci:
                 return ev.win_rate
@@ -107,8 +106,7 @@ class AnalysisTable:
         """Average win rate over all legal moves."""
         return sum(ev.win_rate for ev in self.evals) / len(self.evals)
 
-    def is_top(self, move) -> bool:
-        uci = move.uci if isinstance(move, MoveToken) else str(move)
+    def is_top(self, uci: str) -> bool:
         return uci in self.top_moves
 
 

@@ -15,6 +15,7 @@ import logging
 import random
 import re
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 from pathlib import Path
 
 from . import UserError
@@ -22,17 +23,18 @@ from .arena import GameView, fan_out, make_player
 from .core import (
     BoardState,
     ChessError,
-    IllegalMoveError,
     MoveToken,
     apply_move,
     legal_moves,
     legal_moves_for_square,
+    move_to_san,
     parse_fen,
     parse_move,
 )
 from .engine import AnalysisTable, table_from_dict, table_to_dict
 from .jsonlog import write_rows
 from .players import (
+    BLINDFOLD,
     BLITZ,
     ChatMessage,
     HttpChatTransport,
@@ -301,15 +303,17 @@ def predict_move(
     spec: PlayerSpec,
     board: BoardState,
     history,
+    sans=None,
     *,
     transport=None,
     handle=None,
     rng: random.Random | None = None,
 ) -> MoveAttempt:
     """One move by the arena's player for `spec`, with a single attempt;
-    random players draw from `rng`."""
+    `history` is the game's `MoveToken`s and `sans`, when given, their SAN.
+    Random players draw from `rng`."""
     player = make_player(spec, transport=transport, handle=handle, max_attempts=1)
-    view = GameView(board, tuple(history or ()), board.side_to_move, rng)
+    view = GameView(board, tuple(history or ()), board.side_to_move, rng, sans)
     return player.choose(view).attempts[0]
 
 
@@ -327,7 +331,7 @@ def _width(spec: PlayerSpec, workers: int) -> int:
 @dataclass(frozen=True)
 class MoveSelectionItem:
     fen: str
-    history: tuple  # UCI strings as played before fen
+    history: tuple  # move text, UCI or SAN, as played from the initial position to fen
     mode: str
     legal_flag: bool
     table: AnalysisTable
@@ -337,6 +341,22 @@ class MoveSelectionItem:
         covered = {ev.move.uci for ev in self.table.evals}
         if covered != expected:
             raise ValueError(f"oracle table does not cover the legal moves of {self.fen}")
+
+    @cached_property
+    def played(self) -> tuple:
+        """`(moves, sans)`: the history's `MoveToken`s and SAN, from one replay
+        on first use. A non-empty history, or any history in blindfold mode
+        (whose prompt shows no FEN), must legally reach `fen`."""
+        board = BoardState.start()
+        moves, sans = [], []
+        for text in self.history:
+            move = parse_move(text, board)
+            sans.append(move_to_san(board, move))  # raises on an illegal move
+            moves.append(move)
+            board = apply_move(board, move)
+        if (self.history or self.mode == BLINDFOLD) and board.fen != self.fen:
+            raise ValueError(f"history leads to {board.fen}, not to the item's fen")
+        return tuple(moves), tuple(sans)
 
 
 def run_move_selection(
@@ -355,9 +375,10 @@ def run_move_selection(
     rng = rng or random.Random(0)
 
     def ask(item):
+        moves, sans = item.played
         return predict_move(
             replace(spec, play_mode=item.mode, provide_legal_moves=item.legal_flag),
-            parse_fen(item.fen), item.history, transport=transport, handle=handle, rng=rng,
+            parse_fen(item.fen), moves, sans, transport=transport, handle=handle, rng=rng,
         )
 
     attempts = fan_out(ask, items, _width(spec, workers))
@@ -369,9 +390,9 @@ def run_move_selection(
     for item, attempt in zip(items, attempts):
         is_legal = attempt.outcome == OK
         legal_hits += is_legal
-        q = item.table.q_for(attempt.move) if is_legal else 0.0
+        q = item.table.q_for(attempt.move.uci) if is_legal else 0.0
         q = 0.0 if q is None else q
-        in_top = is_legal and item.table.is_top(attempt.move)
+        in_top = is_legal and item.table.is_top(attempt.move.uci)
         top_hits += in_top
         awr = item.table.awr
         if awr == 0:
@@ -407,7 +428,7 @@ def save_move_items(items, path) -> None:
         (
             {
                 "fen": item.fen,
-                "history": list(item.history),
+                "history": [m.uci for m in item.played[0]],
                 "mode": item.mode,
                 "legal_flag": item.legal_flag,
                 "table": table_to_dict(item.table),
@@ -435,20 +456,12 @@ def _move_item(row) -> MoveSelectionItem:
         raise TypeError("fen must be a string and history a list of strings")
     if mode not in PLAY_MODES or not isinstance(legal_flag, bool):
         raise TypeError(f"mode must be one of {PLAY_MODES} and legal_flag a boolean")
-    board = BoardState.start()
-    ucis = []
-    for text in history:  # the moves must replay from the initial position; SAN is kept as UCI
-        move = parse_move(text, board)
-        if move not in legal_moves(board):
-            raise IllegalMoveError(f"{move.uci}: not legal in this position")
-        ucis.append(move.uci)
-        board = apply_move(board, move)
-    if history and board.fen != fen:  # an empty history may stand for any game
-        raise ValueError(f"history leads to {board.fen}, not to the item's fen")
     table = table_from_dict(row["table"])
     if not all(isinstance(ev.win_rate, (int, float)) for ev in table.evals):
         raise TypeError("every q in the table must be a number")
-    return MoveSelectionItem(fen, tuple(ucis), mode, legal_flag, table)
+    item = MoveSelectionItem(fen, tuple(history), mode, legal_flag, table)
+    item.played  # the item's one replay checks its history
+    return item
 
 
 def load_fens(path) -> list:
@@ -666,7 +679,7 @@ def rl_reward(response: str, fen: str, oracle: AnalysisTable, weights=REWARD_WEI
     attempt = extract_move(response, BLITZ, board)
     if attempt.outcome == OK:
         reward += w_legal
-        if oracle.is_top(attempt.move):
+        if oracle.is_top(attempt.move.uci):
             reward += w_top
     return reward
 

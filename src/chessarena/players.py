@@ -197,8 +197,6 @@ def san_history(moves) -> list:
     board = BoardState.start()
     sans = []
     for mv in moves:
-        if not isinstance(mv, MoveToken):
-            mv = parse_move(str(mv), board)
         sans.append(move_to_san(board, mv))
         board = apply_move(board, mv)
     return sans
@@ -214,7 +212,7 @@ def render_history(moves, fmt: str, window: int, sans=None) -> str | None:
     if fmt == HISTORY_NONE or not moves:
         return None
     if fmt == HISTORY_UCI:
-        recent = [mv.uci if isinstance(mv, MoveToken) else str(mv) for mv in moves[-window:]]
+        recent = [mv.uci for mv in moves[-window:]]
         return "Move history in UCI notation: " + " ".join(recent) + "."
     if fmt != HISTORY_PGN:
         raise ValueError(f"unknown history format {fmt!r}")
@@ -284,17 +282,14 @@ def build_blindfold_conversation(spec: PlayerSpec, moves, legal, color: str) -> 
         messages.append(ChatMessage("user", "This is the beginning of the game."))
     tail = [*_legal_lines(spec, legal), "What is the best move?"]
     for idx, mv in enumerate(moves):
-        uci = mv.uci if isinstance(mv, MoveToken) else str(mv)
         own_turn = (idx % 2 == 0) == own_first
         if own_turn:
-            messages.append(ChatMessage("assistant", fenced(uci)))
+            messages.append(ChatMessage("assistant", fenced(mv.uci)))
         else:
-            line = f"Your opponent's last move is {uci}."
+            line = f"Your opponent's last move is {mv.uci}."
             if idx == len(moves) - 1:
                 line = "\n".join([line] + tail)
             messages.append(ChatMessage("user", line))
-    if not moves and not own_first:
-        raise ValueError("black cannot move before white")
     return messages
 
 

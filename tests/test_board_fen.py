@@ -9,11 +9,14 @@ from chessarena.core import (
     Piece,
     START_FEN,
     Square,
+    apply_move,
+    legal_moves,
     parse_fen,
     serialize_fen,
 )
 
 from conftest import playout
+from oracle_chess import o_apply_uci, o_fen, o_legal_moves, o_parse
 
 START = "rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - 0 1"
 MIDGAME = "rnbqkbnr/pp2pppp/3p4/8/3pP3/5N2/PPP2PPP/RNBQKB1R w KQkq - 0 4"
@@ -149,3 +152,27 @@ def test_fen_round_trips_over_playouts_and_its_memo_changes_no_value():
             assert repr(bare) == repr(board) == f"BoardState({fen!r})"
             assert bare.fen == serialize_fen(board) == fen
             assert hash(bare) == digest and bare == board
+
+
+@pytest.mark.parametrize(
+    "fen, kept",
+    [
+        (f"{BARE} w KQkq - 0 1", "-"),
+        ("r3k2r/8/8/8/8/8/8/R4K1R w KQkq - 0 1", "kq"),
+        ("r3k3/8/8/8/8/8/8/R3K2R b KQkq - 0 1", "KQq"),
+        (START, "KQkq"),
+    ],
+)
+def test_castling_rights_whose_king_or_rook_left_home_are_dropped(fen, kept):
+    assert parse_fen(fen).castling_rights == kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), plies=st.integers(0, 90), rights=st.sets(st.sampled_from("KQkq")))
+def test_any_castling_field_gives_the_oracles_fen_after_every_legal_move(seed, plies, rights):
+    fields = playout(seed, plies).fen.split()
+    fields[2] = "".join(c for c in "KQkq" if c in rights) or "-"
+    state = parse_fen(" ".join(fields))
+    position = o_parse(state.fen)
+    ours = {m.uci: apply_move(state, m).fen for m in legal_moves(state)}
+    assert ours == {uci: o_fen(o_apply_uci(position, uci)) for uci in o_legal_moves(position)}

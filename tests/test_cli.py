@@ -388,11 +388,11 @@ def test_eval_puzzles_bad_csv_is_a_user_error(tmp_path, capsys, content, expecte
     assert f"{path}{expected}" in err
 
 
-def _item_row(**changes) -> str:
+def _item_row(plies=10, **changes) -> str:
     from chessarena.core import legal_moves
     from chessarena.engine import AnalysisTable, MoveEval, Score, table_to_dict, top_moves_of
 
-    board = playout(1, 10)
+    board = playout(1, plies)
     evals = tuple(MoveEval(m, Score("cp", 0), 0.5) for m in legal_moves(board))
     row = {"fen": board.fen, "history": [], "mode": "blitz", "legal_flag": True,
            "table": table_to_dict(AnalysisTable(board.fen, 1, evals, top_moves_of(evals)))}
@@ -410,9 +410,11 @@ def _item_row(**changes) -> str:
         ([_item_row(history="e2e4")], ":1: fen must be a string"),
         ([_item_row(), _item_row(history=["e2e4", "e2e5"])], ":2: e2e5: not legal"),
         ([_item_row(history=["e2e4"])], ":1: history leads to"),
+        ([_item_row(mode="blindfold")], ":1: history leads to"),
+        ([_item_row(plies=11, mode="blindfold")], ":1: history leads to"),
     ],
     ids=["no-history", "not-json", "bad-fen", "uncovered-table", "history-not-a-list", "illegal-history",
-         "history-misses-fen"],
+         "history-misses-fen", "blindfold-white-misses-fen", "blindfold-black-misses-fen"],
 )
 def test_eval_moves_bad_items_are_a_user_error(tmp_path, capsys, lines, expected):
     path = tmp_path / "items.jsonl"

@@ -200,7 +200,7 @@ def test_perspective_complement_after_quiet_reply(toy_handle):
             (
                 m
                 for m in replies
-                if table2.q_for(m) is not None
+                if table2.q_for(m.uci) is not None
                 and abs(table2.evals[0].score.value) < 100_000
             ),
             None,

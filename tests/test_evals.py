@@ -32,7 +32,7 @@ from chessarena.arena import GameConfig, GameView, LlmPlayer, RandomPlayer, make
 from chessarena.players import ChatResponse, PlayerSpec, TransportError
 from chessarena.core import MoveToken
 
-from conftest import PUZZLES_CSV, ScriptedTransport, playout, playout_with_moves
+from conftest import DATA_DIR, PUZZLES_CSV, ScriptedTransport, playout, playout_with_moves
 
 START = BoardState.start().fen
 
@@ -416,6 +416,36 @@ def test_move_items_keep_a_san_history_as_uci(tmp_path):
     transport = ScriptedTransport(["```g1f3```"])
     run_move_selection(spec, [loaded], transport=transport)
     assert "Move history in UCI notation: e2e4 e7e5." in transport.calls[0][1].content
+
+
+def test_an_item_replays_its_history_once_for_the_loader_and_every_prediction(monkeypatch):
+    import chessarena.evals as evals
+    import chessarena.players as players
+
+    counts = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (evals, players):
+        for name in ("move_to_san", "apply_move"):
+            if hasattr(module, name):
+                count(module, name)
+    items = load_move_items(DATA_DIR / "move_items_small.jsonl")
+    plies = sum(len(item.history) for item in items)
+    assert plies > 100
+    spec = PlayerSpec(id="llm", kind="llm_api", play_mode="standard", history_format="pgn")
+    for _ in range(2):
+        transport = ScriptedTransport(["```a1a8```"] * len(items))
+        run_move_selection(spec, items, transport=transport)
+        assert any("PGN notation" in call[-1].content for call in transport.calls)
+    assert counts == {"move_to_san": plies, "apply_move": plies}
 
 
 def test_a_move_items_write_that_fails_leaves_the_old_file(tmp_path):

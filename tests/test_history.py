@@ -74,7 +74,7 @@ def test_game_loop_sans_equal_a_replay_at_every_ply():
         white = RecordingRandomPlayer(PlayerSpec(id="w", kind="random", history_format="pgn"))
         black = RecordingRandomPlayer(PlayerSpec(id="b", kind="random"))
         record = play_game(white, black, GameConfig(ply_cap=400), seed=seed)
-        replayed = san_history(record.moves)
+        replayed = san_history([MoveToken.from_uci(uci) for uci in record.moves])
         views = white.views + black.views
         assert len(views) == len(record.moves)
         for view in views:
@@ -99,10 +99,11 @@ def test_pgn_prompts_from_the_game_equal_prompts_rebuilt_from_the_moves():
     assert all(len(p.attempts) == 1 for p in record.plies)
     calls = {"w": iter(white_transport.calls), "b": iter(black_transport.calls)}
     board = BoardState.start()
+    moves = [MoveToken.from_uci(uci) for uci in record.moves]
     for ply, uci in enumerate(record.moves):
         spec = white_spec if ply % 2 == 0 else black_spec
         legal = legal_moves(board) if spec.provide_legal_moves else None
-        rebuilt = build_prompt(spec, board, record.moves[:ply], legal, board.side_to_move)
+        rebuilt = build_prompt(spec, board, moves[:ply], legal, board.side_to_move)
         assert next(calls[spec.id]) == [m.as_dict() for m in rebuilt], ply
         board = apply_move(board, MoveToken.from_uci(uci))
 
