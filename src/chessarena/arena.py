@@ -14,7 +14,6 @@ import hashlib
 import json
 import random
 import threading
-import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -123,8 +122,6 @@ class GameRecord:
     plies: list | None
     termination: Termination | None
     result_white: float | None
-    started_at: float
-    finished_at: float
     aborted: bool = False
     error: str | None = None
 
@@ -337,7 +334,6 @@ def play_game(
     # SAN of each move played, kept only when a player's prompt shows PGN.
     sans = [] if HISTORY_PGN in (white.spec.history_format, black.spec.history_format) else None
     plies: list = []
-    started = time.time()
     termination: Termination | None = None
     aborted = False
     error = None
@@ -384,8 +380,6 @@ def play_game(
         plies=plies,
         termination=termination,
         result_white=None if aborted else termination.score_for_white,
-        started_at=started,
-        finished_at=time.time(),
         aborted=aborted,
         error=error,
     )
@@ -442,7 +436,6 @@ def encode_game(record: GameRecord) -> str:
             "white": record.white_id,
             "black": record.black_id,
             "seed": record.seed,
-            "started_at": record.started_at,
         }
     ]
     for ply in record.plies:
@@ -454,7 +447,6 @@ def encode_game(record: GameRecord) -> str:
             "termination": record.termination.reason if record.termination else None,
             "winner": record.termination.winner if record.termination else None,
             "result_white": record.result_white,
-            "finished_at": record.finished_at,
             "aborted": record.aborted,
             "error": record.error,
         }
@@ -479,7 +471,9 @@ def decode_result(lines, where) -> GameRecord | None:
     """The game `encode_game` wrote as `lines` (text, or bytes when the file
     is not UTF-8), from its header and footer rows only: a record whose
     `plies` is None. None when the last line is not a footer row (missing,
-    torn or not UTF-8): the game is unfinished. A header or footer row that
+    torn or not UTF-8): the game is unfinished. Both rows are read by key,
+    so keys this version does not write (the wall-clock `started_at` and
+    `finished_at` of older files) are ignored. A header or footer row that
     does not decode raises UserError naming `where` and the line."""
     try:
         footer = _row(lines[-1], "footer")
@@ -488,22 +482,20 @@ def decode_result(lines, where) -> GameRecord | None:
     number = 1
     try:
         header = _row(lines[0], "header")
-        started = {
+        ids = {
             "game_id": header["game_id"],
             "white_id": header["white"],
             "black_id": header["black"],
             "seed": header["seed"],
-            "started_at": header["started_at"],
         }
         number = len(lines)
         return GameRecord(
             plies=None,
             termination=Termination(footer["termination"], footer["winner"]) if footer["termination"] else None,
             result_white=footer["result_white"],
-            finished_at=footer["finished_at"],
             aborted=footer["aborted"],
             error=footer["error"],
-            **started,
+            **ids,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UserError.at(where, number, exc) from None

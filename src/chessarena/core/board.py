@@ -4,8 +4,8 @@ Positions are immutable values: every mutation-style operation returns a new
 ``BoardState``. Internally the placement is a flat 64-tuple of signed piece
 codes (white positive, black negative), indexed a1=0 .. h8=63, rank-major.
 Parsing refuses a FEN with a king missing or doubled, a pawn on a back rank,
-a misplaced en-passant square, or a side not to move in check. A state
-builds its FEN text once.
+an en-passant square off its rank or not behind a pawn that just moved two
+squares, or a side not to move in check. A state builds its FEN text once.
 """
 
 from __future__ import annotations
@@ -369,6 +369,11 @@ def _validate(state: BoardState) -> None:
             raise FenError("en-passant square must be on rank 6 with white to move")
         if state.turn < 0 and rank != 2:
             raise FenError("en-passant square must be on rank 3 with black to move")
+        # The pushed pawn stands ahead of the target; the target and the
+        # pawn's start square behind it are empty.
+        ahead, start = state.ep - 8 * state.turn, state.ep + 8 * state.turn
+        if board[ahead] != -PAWN * state.turn or board[state.ep] or board[start]:
+            raise FenError(f"en-passant square {SQUARE_NAMES[state.ep]} is not behind a pawn that just moved two squares")
     if _attacked(board, board.index(-KING * state.turn), state.turn):
         raise FenError("the side not to move is in check")
 

@@ -129,6 +129,14 @@ BARE = "4k3/8/8/8/8/8/8/4K3"  # kings alone; each case below breaks one field
         ("4k3/8/8/8/8/8/8/4K2P w - - 0 1", "pawns may not stand on rank 1 or rank 8"),
         (f"{BARE} w - e3 0 1", "en-passant square must be on rank 6 with white to move"),
         (f"{BARE} b - e6 0 1", "en-passant square must be on rank 3 with black to move"),
+        ("4k3/8/8/8/3pN3/8/8/4K3 b - e3 0 1",
+         "en-passant square e3 is not behind a pawn that just moved two squares"),
+        ("4k3/8/8/3Pp3/8/8/8/4K3 w - d6 0 1",
+         "en-passant square d6 is not behind a pawn that just moved two squares"),
+        ("4k3/8/3n4/3pP3/8/8/8/4K3 w - d6 0 1",
+         "en-passant square d6 is not behind a pawn that just moved two squares"),
+        ("4k3/3b4/8/3pP3/8/8/8/4K3 w - d6 0 1",
+         "en-passant square d6 is not behind a pawn that just moved two squares"),
         ("4k3/8/8/8/8/8/4r3/4K3 b - - 0 1", "the side not to move is in check"),
         ("4k3/8/3N4/8/8/8/8/4K3 w - - 0 1", "the side not to move is in check"),
     ],

@@ -507,8 +507,10 @@ def test_tournament_rerun_is_idempotent(tmp_path):
     [
         (b"8/8/8/8/8/8/8/K6k w - - 0 1\n\nnot a fen\n", ":3: expected 6 space-delimited fields"),
         (b"8/8/8/8/8/8/8/K6k w - - 0 1\n\xff\n", ":2: not UTF-8"),
+        (b"4k3/8/8/8/3pN3/8/8/4K3 b - e3 0 1\n",
+         ":1: en-passant square e3 is not behind a pawn that just moved two squares"),
     ],
-    ids=["not-a-fen", "not-utf8"],
+    ids=["not-a-fen", "not-utf8", "en-passant-square-without-its-pawn"],
 )
 def test_eval_basic_bad_fen_file_is_a_user_error(tmp_path, capsys, content, expected):
     path = tmp_path / "fens.txt"
@@ -644,18 +646,16 @@ def test_an_engine_player_shares_the_oracle_process_when_command_and_options_mat
     assert len(starts) == engines
 
 
-def _untimed_rows(path) -> list:
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    for row in rows:
-        row.pop("started_at", None), row.pop("finished_at", None)
-    return rows
+def _tree_bytes(root) -> dict:
+    """Every file under `root`, by its path relative to `root`, as bytes."""
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def test_a_resumed_stateful_engine_match_equals_an_uninterrupted_one(tmp_path, capsys):
     """An engine whose answers depend on its searches since `ucinewgame`
     plays and annotates (one process: same command and options) a 4-game
-    match. Resumed with only game 0's file kept, the match writes the games,
-    pool and analysis log of an uninterrupted run."""
+    match. Resumed with only game 0's file kept, the match writes every file
+    of an uninterrupted run, byte for byte."""
     command = stateful_engine(tmp_path)
     players = [{"id": "eng", "kind": "uci_engine", "engine_command": command,
                 "engine_options": cli.EngineConfig().options, "engine_limits": {"depth": 1}},
@@ -670,12 +670,36 @@ def test_a_resumed_stateful_engine_match_equals_an_uninterrupted_one(tmp_path, c
         if path.stem != first:
             path.unlink()
     assert main(match + ["--annotate", "--run-dir", str(resumed)]) == 0
-    games = sorted(path.name for path in (whole / "games").iterdir())
-    assert len(games) == 4 and sorted(path.name for path in (resumed / "games").iterdir()) == games
-    for name in games:
-        assert _untimed_rows(resumed / "games" / name) == _untimed_rows(whole / "games" / name)
-    for name in ("pool.json", "leaderboard.json", "analysis/analyses.jsonl"):
-        assert (resumed / name).read_bytes() == (whole / name).read_bytes()
+    assert len(list((whole / "games").iterdir())) == 4
+    assert _tree_bytes(resumed) == _tree_bytes(whole)
+
+
+@pytest.mark.parametrize(
+    "argv, resumable",
+    [
+        (["tournament", "--rounds", "2"], True),
+        (["match", "--white", "toyfish", "--black", "rand-0"], True),
+        (["game", "--white", "toyfish", "--black", "rand-0"], False),
+    ],
+    ids=["tournament", "match", "game"],
+)
+def test_an_annotated_command_writes_the_same_bytes_fresh_and_resumed(tmp_path, capsys, argv, resumable):
+    """Two fresh runs of one command write byte-identical run dirs; so does a
+    run resumed after losing a finished game file."""
+    players = [{"id": "toyfish", "kind": "uci_engine", "engine_command": TOY_CMD, "engine_limits": {"depth": 1}},
+               {"id": "rand-0", "kind": "random"}, {"id": "rand-1", "kind": "random"}]
+    config = write_config(tmp_path, extra={"players": players, "ply_cap": 60,
+                                           "engine": {"path": TOY_CMD, "depth": 1}})
+    command = argv + ["--config", str(config), "--annotate", "--run-dir"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(command + [str(first)]) == 0
+    assert main(command + [str(second)]) == 0
+    assert _tree_bytes(first) == _tree_bytes(second)
+    if resumable:
+        lost = sorted((first / "games").glob("*.jsonl"))[0]
+        lost.unlink()
+        assert main(command + [str(first)]) == 0
+        assert lost.exists() and _tree_bytes(first) == _tree_bytes(second)
 
 
 def test_reannotating_a_finished_run_dir_writes_no_game_file(tmp_path, monkeypatch):

@@ -49,7 +49,7 @@ def _reference_text(record: GameRecord) -> str:
     """The game file format spelled out key by key: a header row, one row per
     ply with its attempts, and a footer row, each JSON with sorted keys."""
     rows = [{"type": "header", "game_id": record.game_id, "white": record.white_id,
-             "black": record.black_id, "seed": record.seed, "started_at": record.started_at}]
+             "black": record.black_id, "seed": record.seed}]
     for p in record.plies:
         attempts = [
             {"raw_response": a.raw_response, "outcome": a.outcome, "move": a.move.uci if a.move else None,
@@ -63,7 +63,7 @@ def _reference_text(record: GameRecord) -> str:
     term = record.termination
     rows.append({"type": "footer", "termination": term.reason if term else None,
                  "winner": term.winner if term else None, "result_white": record.result_white,
-                 "finished_at": record.finished_at, "aborted": record.aborted, "error": record.error})
+                 "aborted": record.aborted, "error": record.error})
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
@@ -244,6 +244,43 @@ def test_resumed_game_files_are_read_once(tmp_path, monkeypatch):
     resumed = run_match(req, fresh_pool(), GameConfig(ply_cap=20), registry, run_dir=run_dir, seed=1)
     assert resumed == [dataclasses.replace(r, plies=None) for r in first]  # resume reads no ply row
     assert opened == {f"{r.game_id}.jsonl": 1 for r in first}
+
+
+def _stamped(text: str) -> str:
+    """The game file as versions that stamped wall-clock times wrote it: the
+    header row with `started_at` and the footer row with `finished_at`."""
+    rows = [json.loads(line) for line in text.splitlines()]
+    rows[0]["started_at"], rows[-1]["finished_at"] = 1761170000.25, 1761170001.5
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def test_a_game_file_with_wall_clock_stamps_still_loads(tmp_path, toy_handle):
+    """Decoded as before, resumed without a rewrite, and rewritten without the
+    stamps only when annotation re-encodes it."""
+    def fresh_pool():
+        return [PoolEntry(id=s.id, rating=RatingState.fresh(RatingConfig())) for s in RANDOMS]
+
+    registry = PlayerRegistry(RANDOMS)
+    run_dir = RunDir(tmp_path)
+    req = MatchRequest("rand-0", "rand-1", 2)
+    first = run_match(req, fresh_pool(), GameConfig(ply_cap=20), registry, run_dir=run_dir, seed=1)
+    for record in first:
+        path = run_dir.game_path(record.game_id)
+        path.write_text(_stamped(encode_game(record)))
+        assert '"started_at"' in path.read_text() and '"finished_at"' in path.read_text()
+        assert run_dir.read_game(record.game_id) == record
+        assert run_dir.read_result(record.game_id) == dataclasses.replace(record, plies=None)
+    stamps = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in run_dir.games.glob("*.jsonl")}
+    resumed = run_match(req, fresh_pool(), GameConfig(ply_cap=20), registry, run_dir=run_dir, seed=1)
+    assert resumed == [dataclasses.replace(r, plies=None) for r in first]
+    assert stamps == {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in run_dir.games.glob("*.jsonl")}
+    records = [run_dir.read_game(r.game_id) for r in first]
+    arena.annotate_games(records, toy_handle, 1, run_dir)
+    for record in records:
+        assert run_dir.game_path(record.game_id).read_text() == encode_game(record)
+    rewritten = {p.name: p.stat().st_mtime_ns for p in run_dir.games.glob("*.jsonl")}
+    arena.annotate_games([run_dir.read_game(r.game_id) for r in first], toy_handle, 1, run_dir)
+    assert rewritten == {p.name: p.stat().st_mtime_ns for p in run_dir.games.glob("*.jsonl")}
 
 
 def test_resumed_tournament_decodes_no_ply_row(tmp_path, monkeypatch):
